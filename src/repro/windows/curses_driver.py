@@ -11,9 +11,10 @@ bridge to an actual TTY for people who want to *use* the thing::
     app.open_form("students")
     run_app(app)          # blocks until the user presses ctrl-Q
 
-It is intentionally minimal — one screen repaint per keystroke, attribute
-mapping to curses A_* flags — and is excluded from the test suite (there is
-no TTY in CI); everything underneath it is tested headlessly.
+It is intentionally minimal — one composite per keystroke, only the changed
+cells sent to curses, attribute mapping to curses A_* flags.  ``run_app``
+itself needs a TTY and is not run in CI; the paint step takes the curses
+window as an argument and is tested against a fake one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.windows.events import Key, KeyEvent
-from repro.windows.screen import Attr
+from repro.windows.screen import Attr, ScreenBuffer
 
 #: curses keycode -> KeyEvent name
 _SPECIAL = {
@@ -66,7 +67,7 @@ def translate_key(name: str) -> Optional[KeyEvent]:
     return None
 
 
-def _attr_to_curses(attr: Attr, curses_module) -> int:  # pragma: no cover - TTY only
+def _attr_to_curses(attr: Attr, curses_module) -> int:
     flags = 0
     if attr & Attr.BOLD:
         flags |= curses_module.A_BOLD
@@ -79,31 +80,42 @@ def _attr_to_curses(attr: Attr, curses_module) -> int:  # pragma: no cover - TTY
     return flags
 
 
+def paint(stdscr, front: ScreenBuffer, painted: ScreenBuffer, curses_module) -> int:
+    """Bring the terminal up to *front*; returns the cells sent.
+
+    *painted* is what the terminal shows.  Only the cells where *front*
+    differs from it are written (design point D2 carried through to the
+    TTY), and *painted* is then made equal to *front*.
+    """
+    changes = front.diff(painted)
+    for x, y, cell in changes:
+        try:
+            stdscr.addstr(y, x, cell.char, _attr_to_curses(cell.attr, curses_module))
+        except curses_module.error:
+            pass  # bottom-right corner write
+    painted.copy_from(front)
+    stdscr.refresh()
+    return len(changes)
+
+
+def _loop(stdscr, app, curses_module) -> None:
+    curses_module.raw()
+    stdscr.keypad(True)
+    front = app.wm.renderer.front
+    painted = ScreenBuffer(front.width, front.height)  # curses starts blank
+    app.wm.render_frame()  # the only composite here: send_key does its own
+    while True:
+        paint(stdscr, front, painted, curses_module)
+        name = stdscr.getkey()
+        if name == "\x11":  # ctrl-Q
+            return
+        event = translate_key(name)
+        if event is not None:
+            app.send_key(event)
+
+
 def run_app(app) -> None:  # pragma: no cover - requires a TTY
     """Drive *app* interactively until ctrl-Q."""
     import curses
 
-    def loop(stdscr) -> None:
-        curses.raw()
-        stdscr.keypad(True)
-        front = app.wm.renderer.front
-        while True:
-            app.wm.render_frame()
-            for y in range(front.height):
-                for x in range(front.width):
-                    cell = front.cell(x, y)
-                    try:
-                        stdscr.addstr(
-                            y, x, cell.char, _attr_to_curses(cell.attr, curses)
-                        )
-                    except curses.error:
-                        pass  # bottom-right corner write
-            stdscr.refresh()
-            name = stdscr.getkey()
-            if name == "\x11":  # ctrl-Q
-                return
-            event = translate_key(name)
-            if event is not None:
-                app.send_key(event)
-
-    curses.wrapper(loop)
+    curses.wrapper(_loop, app, curses)

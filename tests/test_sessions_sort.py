@@ -1,12 +1,15 @@
-"""Tests for F8 sort cycling, the curses key translation, and two apps
-sharing one database (multi-terminal 1983 style)."""
+"""Tests for F8 sort cycling, the curses key translation and paint step, and
+two apps sharing one database (multi-terminal 1983 style)."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import WowApp
 from repro.forms import FormController, generate_form
-from repro.windows.curses_driver import translate_key
+from repro.windows.curses_driver import _loop, paint, translate_key
 from repro.windows.events import Key
+from repro.windows.screen import BLANK, ScreenBuffer
 
 
 class TestSortCycling:
@@ -97,3 +100,76 @@ class TestSharedDatabaseSessions:
         app_a.send_keys("<END><F6>")  # delete dan
         app_b.send_keys("<F5>")
         assert form_b.controller.record_count == 3
+
+
+class _FakeStdscr:
+    """Records what the driver sends a curses window; plays back a key list."""
+
+    def __init__(self, keys=()):
+        self.keys = list(keys)
+        self.frames = [[]]  # one list of (y, x, char, flags) per refresh
+
+    def keypad(self, flag):
+        pass
+
+    def addstr(self, y, x, char, flags):
+        self.frames[-1].append((y, x, char, flags))
+
+    def refresh(self):
+        self.frames.append([])
+
+    def getkey(self):
+        return self.keys.pop(0)
+
+
+class _FakeCursesError(Exception):
+    pass
+
+
+_FAKE_CURSES = SimpleNamespace(
+    error=_FakeCursesError, raw=lambda: None, A_BOLD=1, A_REVERSE=2, A_UNDERLINE=4, A_DIM=8
+)
+
+
+class TestCursesPaint:
+    """The TTY driver honours D2: one composite per key, changed cells only."""
+
+    def session(self, company, keys):
+        app = WowApp(company, width=70, height=18)
+        app.open_form("emp")
+        stdscr = _FakeStdscr(keys + ["\x11"])
+        frames_before = app.wm.renderer.frames
+        _loop(stdscr, app, _FAKE_CURSES)
+        return app, stdscr, app.wm.renderer.frames - frames_before
+
+    def test_first_frame_paints_every_non_blank_cell(self, company):
+        app, stdscr, _ = self.session(company, [])
+        front = app.wm.renderer.front
+        non_blank = {
+            (y, x, front.cell(x, y).char)
+            for y in range(front.height)
+            for x in range(front.width)
+            if front.cell(x, y) != BLANK
+        }
+        first = stdscr.frames[0]
+        assert len(first) == len(non_blank) < front.width * front.height
+        assert {(y, x, char) for y, x, char, _ in first} == non_blank
+        assert any(flags & _FAKE_CURSES.A_BOLD for _, _, _, flags in first)
+
+    def test_a_key_composites_once_and_paints_only_the_changed_cells(self, company):
+        app, stdscr, composites = self.session(company, ["KEY_DOWN"])
+        assert composites == 2  # once before the loop, once inside send_key
+        first, after_down = stdscr.frames[0], stdscr.frames[1]
+        assert len(after_down) == app.wm.renderer.last_frame_cells
+        assert 0 < len(after_down) < len(first)
+        assert "bob" in "".join(char for _, _, char, _ in after_down)
+
+    def test_paint_tolerates_the_bottom_right_corner_error(self):
+        class Refusing(_FakeStdscr):
+            def addstr(self, y, x, char, flags):
+                raise _FAKE_CURSES.error("bottom-right corner")
+
+        front, painted = ScreenBuffer(4, 2), ScreenBuffer(4, 2)
+        front.put(3, 1, "x")
+        assert paint(Refusing(), front, painted, _FAKE_CURSES) == 1
+        assert front.diff(painted) == []

@@ -1,10 +1,13 @@
 """Tests for the windowing substrate: screen, widgets, windows, manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FocusError, GeometryError, WindowError
 from repro.windows import (
     Attr,
+    Cell,
     GridView,
     Key,
     KeyEvent,
@@ -17,6 +20,7 @@ from repro.windows import (
     Window,
     WindowManager,
 )
+from repro.windows import screen as screen_module
 from repro.windows.events import format_keys, parse_keys
 
 
@@ -393,3 +397,168 @@ class TestStatusBar:
         screen = ScreenBuffer(10, 1)
         bar.render(screen, 0, 0)
         assert screen.row_text(0) == "saved     "
+
+
+# -- the row-wise, interned ScreenBuffer against a per-cell model -----------
+
+
+class _ModelScreen:
+    """The buffer done naively: every cell is bounds-checked, clip-checked
+    and built on its own — the reference the real one must agree with."""
+
+    def __init__(self, width, height):
+        self.width, self.height = width, height
+        self.cells = [[Cell() for _ in range(width)] for _ in range(height)]
+        self.clip = None
+        self.cells_written = 0
+
+    def set_clip(self, rect):
+        self.clip = rect
+
+    def put(self, x, y, char, attr=Attr.NORMAL):
+        on_screen = 0 <= x < self.width and 0 <= y < self.height
+        if on_screen and (self.clip is None or self.clip.contains(x, y)):
+            self.cells[y][x] = Cell(char, attr)  # raises on a bad char
+            self.cells_written += 1
+
+    def write(self, x, y, text, attr=Attr.NORMAL):
+        for offset, char in enumerate(text):
+            self.put(x + offset, y, char, attr)
+
+    def fill(self, rect, char=" ", attr=Attr.NORMAL):
+        for y in range(rect.y, rect.bottom):
+            self.hline(rect.x, y, rect.width, char, attr)
+
+    def hline(self, x, y, length, char="-", attr=Attr.NORMAL):
+        for offset in range(length):
+            self.put(x + offset, y, char, attr)
+
+    def vline(self, x, y, length, char="|", attr=Attr.NORMAL):
+        for offset in range(length):
+            self.put(x, y + offset, char, attr)
+
+    def box(self, rect, attr=Attr.NORMAL):
+        edges_x, edges_y = (rect.x, rect.right - 1), (rect.y, rect.bottom - 1)
+        for y in edges_y:
+            self.hline(rect.x + 1, y, rect.width - 2, "-", attr)
+        for x in edges_x:
+            self.vline(x, rect.y + 1, rect.height - 2, "|", attr)
+        for y in edges_y:
+            for x in edges_x:
+                self.put(x, y, "+", attr)
+
+    def clear(self):
+        self.cells = [[Cell() for _ in range(self.width)] for _ in range(self.height)]
+        self.cells_written += self.width * self.height
+
+    def diff(self, other):
+        return [
+            (x, y, cell)
+            for y, row in enumerate(self.cells)
+            for x, cell in enumerate(row)
+            if cell != other.cells[y][x]
+        ]
+
+
+_WIDTH, _HEIGHT = 7, 5
+# coordinates reach past every edge; rectangles may lie partly or wholly outside
+_coords = st.integers(-4, 11)
+_lengths = st.integers(-3, 14)
+_rects = st.builds(Rect, _coords, _coords, st.integers(1, 12), st.integers(1, 12))
+_attrs = st.sampled_from(
+    [Attr.NORMAL, Attr.BOLD, Attr.REVERSE, Attr.BOLD | Attr.REVERSE, Attr.DIM | Attr.UNDERLINE]
+)
+# a cell holds exactly one character: "" and "xy" must raise GeometryError
+_chars = st.sampled_from(["a", "b", " ", "#", "-", "\u00e9", "", "xy"])
+_draw_ops = st.one_of(
+    st.tuples(st.just("set_clip"), st.one_of(st.none(), _rects)),
+    st.tuples(st.just("put"), _coords, _coords, _chars, _attrs),
+    st.tuples(st.just("write"), _coords, _coords, st.text("ab #\u00e9", max_size=14), _attrs),
+    st.tuples(st.just("fill"), _rects, _chars, _attrs),
+    st.tuples(st.just("hline"), _coords, _coords, _lengths, _chars, _attrs),
+    st.tuples(st.just("vline"), _coords, _coords, _lengths, _chars, _attrs),
+    st.tuples(st.just("box"), _rects, _attrs),
+    st.tuples(st.just("clear")),
+)
+
+
+def _raises_geometry_error(target, name, args):
+    try:
+        getattr(target, name)(*args)
+    except GeometryError:
+        return True
+    return False
+
+
+def _assert_same(real, model):
+    for y in range(_HEIGHT):
+        for x in range(_WIDTH):
+            assert real.cell(x, y) == model.cells[y][x], (x, y)
+            assert isinstance(real.cell(x, y).attr, Attr)
+    assert real.cells_written == model.cells_written
+
+
+def _drawn(ops):
+    """A real buffer and a model after the same ops, compared after each."""
+    real, model = ScreenBuffer(_WIDTH, _HEIGHT), _ModelScreen(_WIDTH, _HEIGHT)
+    for name, *args in ops:
+        # the same ops raise, and an op that raises has changed nothing
+        assert _raises_geometry_error(real, name, args) == _raises_geometry_error(
+            model, name, args
+        ), (name, args)
+        _assert_same(real, model)
+    return real, model
+
+
+def _check_against_model(ops, other_ops):
+    real, model = _drawn(ops)
+    other_real, other_model = _drawn(other_ops)
+    assert real.diff(other_real) == model.diff(other_model)
+    assert other_real.diff(real) == other_model.diff(model)
+    written = other_real.cells_written
+    other_real.copy_from(real)
+    assert other_real.diff(real) == [] and real.diff(other_real) == []
+    assert other_real.cells_written == written  # no write accounting
+    other_model.cells, other_model.cells_written = model.cells, written
+    _assert_same(other_real, other_model)
+
+
+# two frames that share most of their content, as consecutive frames do: the
+# second replays a prefix of the first frame's ops and then goes its own way
+_two_frames = st.tuples(
+    st.lists(_draw_ops, max_size=25), st.integers(0, 25), st.lists(_draw_ops, max_size=6)
+).map(lambda drawn: (drawn[0], drawn[0][: drawn[1]] + drawn[2]))
+
+
+class TestScreenBufferAgainstModel:
+    @given(frames=_two_frames)
+    @settings(max_examples=200, deadline=None)
+    def test_random_draw_sequences(self, frames):
+        _check_against_model(*frames)
+
+    @given(frames=_two_frames)
+    @settings(max_examples=200, deadline=None)
+    def test_still_correct_once_the_intern_table_is_full(self, frames):
+        # one attribute, two characters: nearly every cell is then an unshared
+        # object, so nothing may lean on ``is`` for equality
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(screen_module, "_TABLES", {})
+            patch.setattr(screen_module, "_MAX_ATTRS", 1)
+            patch.setattr(screen_module, "_MAX_CHARS", 2)
+            _check_against_model(*frames)
+            tables = screen_module._TABLES
+            assert len(tables) <= 1 and all(len(table) <= 2 for table in tables.values())
+
+    def test_equal_content_is_one_shared_cell_until_the_table_is_full(self):
+        a, b = ScreenBuffer(4, 1), ScreenBuffer(4, 1)
+        a.write(0, 0, "xy", Attr.BOLD)
+        b.put(0, 0, "x", Attr.BOLD)
+        assert a.cell(0, 0) is b.cell(0, 0)
+        assert a.cell(3, 0) is b.cell(3, 0) is screen_module.BLANK
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(screen_module, "_TABLES", {})
+            patch.setattr(screen_module, "_MAX_ATTRS", 0)
+            a.put(1, 0, "z", Attr.DIM)
+            b.put(1, 0, "z", Attr.DIM)
+        assert a.cell(1, 0) == b.cell(1, 0) and a.cell(1, 0) is not b.cell(1, 0)
+        assert a.diff(b) == []  # equal by value is equal, shared or not
