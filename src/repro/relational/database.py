@@ -2335,23 +2335,31 @@ class Database:
         if self.wal is None:
             return
 
+        stats = self.wal.recovery_stats
+
+        def locate(table: Table, image: Sequence[Any]) -> Optional[RowId]:
+            # The victim is found by value — through a unique index when the
+            # table has one (_load_catalog backfilled them, replay keeps them
+            # in step) — never by RowId: the log is commit-ordered and omits
+            # rolled-back work, so slots differ from the original run.
+            rid = table.find_by_image(table.schema.validate_row(image))
+            if rid is None:
+                stats["unmatched_ops"] += 1
+            return rid
+
         def apply(op: dict) -> None:
             table = self.catalog.table(op["tab"])
             if op["t"] == "insert":
                 table.insert(table.schema.validate_row(op["row"]))
             elif op["t"] == "delete":
-                image = table.schema.validate_row(op["old" if "old" in op else "row"])
-                for rid, row in table.scan():
-                    if row == image:
-                        table.delete(rid)
-                        break
+                rid = locate(table, op["old" if "old" in op else "row"])
+                if rid is not None:
+                    table.delete(rid)
             elif op["t"] == "update":
-                old_image = table.schema.validate_row(op["old"])
                 new_image = table.schema.validate_row(op["new"])
-                for rid, row in table.scan():
-                    if row == old_image:
-                        table.update(rid, new_image)
-                        break
+                rid = locate(table, op["old"])
+                if rid is not None:
+                    table.update(rid, new_image)
 
         try:
             self.wal.replay(apply, min_seq=self._checkpoint_seq)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import CatalogError, ConstraintError, StorageError
+from repro.errors import CatalogError, ConstraintError
 from repro.relational.heap import HeapFile, RowId
 from repro.relational.indexes import BTreeIndex, Index, make_index
 from repro.relational.rowcodec import decode_row, encode_row, span_decoder
@@ -127,23 +127,20 @@ class Table:
     def update(self, rid: RowId, new_row: Sequence[Any]) -> Tuple[RowId, Row]:
         """Replace the row at *rid*; returns (new_rid, old_row).
 
-        The RowId may change if the record grows past its page.  Indexes are
-        updated for both the key change and any rid change.
+        The RowId may change if the record grows past its page.  An index
+        is touched only when its key or the rid changed; the heap is written
+        first, so a StorageError leaves every index as it was.
         """
         old_row = self.read(rid)
         clean = self.schema.validate_row(new_row)
         self._check_unique_all(clean, exclude_rid=rid)
+        new_rid = self.heap.update(rid, encode_row(self.schema, clean))
         for index in self.indexes.values():
-            index.delete(self._key_for(index, old_row), rid)
-        try:
-            new_rid = self.heap.update(rid, encode_row(self.schema, clean))
-        except StorageError:
-            # Restore index entries before propagating so state stays sane.
-            for index in self.indexes.values():
-                index.insert(self._key_for(index, old_row), rid)
-            raise
-        for index in self.indexes.values():
-            index.insert(self._key_for(index, clean), new_rid)
+            old_key = self._key_for(index, old_row)
+            new_key = self._key_for(index, clean)
+            if new_rid != rid or new_key != old_key:
+                index.delete(old_key, rid)
+                index.insert(new_key, new_rid)
         return new_rid, old_row
 
     def update_mapping(self, rid: RowId, changes: Mapping[str, Any]) -> Tuple[RowId, Row]:
@@ -271,6 +268,29 @@ class Table:
             return None
         rid = rids[0]
         return rid, self.read(rid)
+
+    def find_by_image(self, image: Row) -> Optional[RowId]:
+        """The rid of a row equal to the validated *image*, or None (redo).
+
+        The first unique index whose key is NULL-free in *image* settles
+        it: the one row under that key equals the image or no row does.
+        Only a table without such a key is scanned, in heap order — there
+        any equal row is the same row.
+        """
+        for index in self.indexes.values():
+            if not index.unique:
+                continue
+            key = self._key_for(index, image)
+            if None in key:
+                continue
+            rids = index.lookup(key)
+            if rids and self.read(rids[0]) == image:
+                return rids[0]
+            return None
+        for rid, row in self.scan():
+            if row == image:
+                return rid
+        return None
 
     def find_where(self, predicate: Callable[[Row], bool]) -> List[Tuple[RowId, Row]]:
         """Full-scan lookup by arbitrary Python predicate (test helper)."""

@@ -139,6 +139,9 @@ class WriteAheadLog:
         #: recovery-side counters (kept apart from the write-side stats)
         self.recovery_stats: Dict[str, int] = {
             "replayed_ops": 0,
+            #: replayed UPDATE/DELETE ops whose old image matched no row
+            #: (counted by the caller's apply; the op is a no-op)
+            "unmatched_ops": 0,
             "skipped_groups": 0,
             "torn_tail_records": 0,
             "tail_truncated_bytes": 0,

@@ -246,22 +246,28 @@ class SessionManager:
             raise SessionError(f"session {session.id} is closed")
         self.stats["statements"] += 1
         session.stats["statements"] += 1
-        # A DDL between lockset computation and execution changes what the
-        # statement must lock; the generation check catches it and loops.
+        # A DDL between lockset computation and execution may change what
+        # the statement must lock.  When the generation moved, the lockset
+        # is re-derived under the latch (reentrant; the catalog cannot
+        # change while it is held) and the statement runs if the locks it
+        # holds are still the ones it needs — a storm of unrelated DDL must
+        # not starve it.  Only a lockset that really differs loops.
         for _attempt in range(10):
             lockset, generation = self._lockset(sql)
             self._acquire_locks(session, lockset)
             with self.db._latch:
-                if self.db.catalog.generation == generation:
-                    try:
+                try:
+                    if (
+                        self.db.catalog.generation == generation
+                        or self._lockset(sql)[0] == lockset
+                    ):
                         return self._run_statement(session, sql)
-                    finally:
-                        if not session.txn.active:
-                            # 2PL release point: the statement autocommitted,
-                            # COMMITted, or ROLLBACKed (or was aborted).
-                            self.locks.release_all(session.id)
-            if not session.txn.active:
-                self.locks.release_all(session.id)
+                finally:
+                    if not session.txn.active:
+                        # 2PL release point: the statement autocommitted,
+                        # COMMITted, or ROLLBACKed (or was aborted) — or it
+                        # holds the wrong locks and starts over.
+                        self.locks.release_all(session.id)
         raise SessionError(
             "statement lockset would not stabilise (concurrent DDL storm)"
         )

@@ -142,6 +142,9 @@ class _Workload:
                 f"pure crash degraded the database; events="
                 f"{db._corruption_events} calls={shim.calls[-3:]}"
             )
+            assert db.wal.recovery_stats["unmatched_ops"] == 0, (
+                f"redo could not place an op after crash at call {shim.crash_at}"
+            )
             report = db.integrity_check()
             assert report.ok, (
                 f"integrity violations after crash at call {shim.crash_at}: "
@@ -239,6 +242,7 @@ class TestCrashExhaustion:
             db = Database(path=path, fsync=False)
             try:
                 assert db.planner_config.vectorized
+                assert db.wal.recovery_stats["unmatched_ops"] == 0
                 report = db.integrity_check()  # scans via scan_batched()
                 assert report.ok, report.to_lines()
                 # A query through the batched executor agrees with the
@@ -343,6 +347,7 @@ class TestCheckpointOrdering:
             counts = db.query("SELECT COUNT(*) FROM t")
             assert counts == [(4,)], f"rows double-applied: {counts}"
             assert db.wal.recovery_stats["skipped_groups"] > 0
+            assert db.wal.recovery_stats["unmatched_ops"] == 0
         finally:
             _hard_close(db)
 
@@ -481,6 +486,7 @@ class TestWalV2:
             assert not db2.read_only
             assert db2.execute("SELECT COUNT(*) FROM t").scalar() == 3
             assert db2.wal.recovery_stats["torn_tail_records"] >= 1
+            assert db2.wal.recovery_stats["unmatched_ops"] == 0
         finally:
             db2.close()
 
@@ -503,6 +509,7 @@ class TestWalV2:
         db2 = Database(path=path, fsync=False)
         assert os.path.getsize(wal_path) == committed_size  # tail gone
         assert db2.wal.recovery_stats["tail_truncated_bytes"] > 0
+        assert db2.wal.recovery_stats["unmatched_ops"] == 0
         db2.insert("t", {"a": 50, "b": "second-generation"})
         _hard_close(db2)
         db3 = Database(path=path, fsync=False)

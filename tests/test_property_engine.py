@@ -1,21 +1,33 @@
 """Property-based whole-engine tests.
 
-Two families:
+Three families:
 
 * **planner equivalence** — random queries must return identical result
   sets no matter which planner features or join strategies are enabled;
 * **model-based DML** — a random interleaving of inserts/updates/deletes
-  (with savepoints) must leave the table equal to a plain-dict model.
+  (with savepoints) must leave the table equal to a plain-dict model;
+* **index maintenance** — after every ``Table`` insert/update/delete,
+  accepted or refused, each index equals a rebuild from the heap.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConstraintError, StorageError
 from repro.relational.database import Database
+from repro.relational.heap import HeapFile
+from repro.relational.indexes import BTreeIndex, HashIndex
+from repro.relational.pager import MemoryPager
 from repro.relational.planner import PlannerConfig
+from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
+from repro.relational.types import ColumnType
 
 
 def _make_db(rows):
@@ -338,3 +350,133 @@ class TestPersistencePropertyLite:
         db2 = Database(path=path, fsync=False)
         assert sorted(db2.query("SELECT k, s FROM r")) == sorted(rows)
         db2.close()
+
+
+# -- Table.update keeps every index equal to a rebuild from the heap ----------
+
+_PADS = (0, 10, 1500, 3000, 5000)  # 5000 exceeds a page: heap refuses it
+
+_row_values = st.tuples(
+    st.integers(0, 15),                        # k   primary key
+    st.one_of(st.none(), st.integers(0, 15)),  # u   UNIQUE, nullable
+    st.integers(0, 2),                         # g   non-unique hash index
+    st.sampled_from(_PADS),                    # pad length: growth relocates
+)
+
+_table_op = st.one_of(
+    st.tuples(st.just("insert"), st.just(0), _row_values),
+    st.tuples(st.just("delete"), st.integers(0, 50), st.none()),
+    # which columns an update overwrites: none, one, or every key — and the pad
+    st.tuples(
+        st.sampled_from(["update"] * 4 + ["update_heap_fails"]),
+        st.integers(0, 50),
+        st.tuples(_row_values, st.tuples(*[st.booleans()] * 4)),
+    ),
+)
+
+
+def _index_entries(table):
+    """Every index's (key, rid) pairs, read from the structures themselves."""
+    entries = {}
+    for name, index in table.indexes.items():
+        if isinstance(index, BTreeIndex):
+            pairs = list(index.range_scan())
+        else:
+            pairs = [(key, rid) for key, bucket in index._map.items() for rid in bucket]
+        assert len(pairs) == len(index)
+        entries[name] = sorted(pairs, key=repr)
+    return entries
+
+
+def _indexed_table():
+    schema = TableSchema(
+        "t",
+        [
+            Column("k", ColumnType.INT), Column("u", ColumnType.INT),
+            Column("g", ColumnType.INT), Column("pad", ColumnType.TEXT),
+        ],
+        primary_key=["k"],
+        unique=[["u"]],
+    )
+    table = Table(schema, HeapFile(MemoryPager()))
+    table.add_index("ix_g", "hash", ["g"])
+    return table
+
+
+def _assert_indexes_match_heap(table):
+    entries = _index_entries(table)
+    table.rebuild_indexes()
+    assert _index_entries(table) == entries
+
+
+class TestTableIndexMaintenance:
+    @given(ops=st.lists(_table_op, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_every_step_leaves_indexes_equal_to_a_rebuild(self, ops):
+        table = _indexed_table()
+        for k in range(4):  # two full pages: the first growth already relocates
+            table.insert((k, k, k % 3, "x" * 1500))
+        for op, pick, arg in ops:
+            before = (list(table.scan()), _index_entries(table))
+            live = [rid for rid, _row in before[0]]
+            try:
+                if op == "insert":
+                    k, u, g, pad = arg
+                    table.insert((k, u, g, "x" * pad))
+                elif live and op == "delete":
+                    table.delete(live[pick % len(live)])
+                elif live:
+                    rid = live[pick % len(live)]
+                    (k, u, g, pad), overwrite = arg
+                    new_row = [
+                        new if chosen else old
+                        for old, new, chosen in zip(
+                            table.read(rid), (k, u, g, "x" * pad), overwrite
+                        )
+                    ]
+                    heap_fails = (
+                        mock.patch.object(
+                            table.heap, "update", side_effect=StorageError("injected")
+                        )
+                        if op == "update_heap_fails"
+                        else contextlib.nullcontext()
+                    )
+                    with heap_fails:
+                        table.update(rid, new_row)
+            except (ConstraintError, StorageError):
+                # refused: duplicate key, oversize record or the injected
+                # failure — heap and indexes are exactly as they were
+                assert (list(table.scan()), _index_entries(table)) == before
+            _assert_indexes_match_heap(table)
+
+    def test_growing_past_the_page_moves_the_row_in_every_index(self):
+        table = _indexed_table()
+        rids = [table.insert((k, k, 0, "x" * 1500)) for k in range(2)]  # one full page
+        new_rid, _old = table.update(rids[0], (0, 0, 0, "x" * 3000))
+        assert new_rid.page != rids[0].page
+        assert all(
+            index.lookup(key) == [new_rid]
+            for index, key in ((table.indexes["pk_t"], (0,)), (table.indexes["uq_t_0"], (0,)))
+        )
+        _assert_indexes_match_heap(table)
+
+    def test_an_update_that_changes_no_key_touches_no_index(self, monkeypatch):
+        table = _indexed_table()
+        rid = table.insert((1, 2, 3, "before"))
+        touched = []
+
+        def recording(real):
+            def method(index, key, rid):
+                touched.append(index.name)
+                return real(index, key, rid)
+
+            return method
+
+        for cls in (BTreeIndex, HashIndex):
+            for name in ("insert", "delete"):
+                monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+        assert table.update(rid, (1, 2, 3, "after")) == (rid, (1, 2, 3, "before"))
+        assert touched == []
+        table.update(rid, (1, 2, 0, "after"))  # one key: one index, delete + insert
+        assert touched == ["ix_g", "ix_g"]
+        _assert_indexes_match_heap(table)

@@ -389,6 +389,73 @@ class TestSessions:
         assert s2.query("SELECT COUNT(*) FROM t") == [(2,)]
 
 
+class TestStaleLockset:
+    """DDL that commits between a statement's lockset derivation and its
+    run — staged without racing threads: the intruder's statements run
+    inside the victim's ``_acquire_locks`` call."""
+
+    @staticmethod
+    def _intrude(mgr, monkeypatch, victim, intrusions):
+        """Before each of the victim's lock acquisitions run the next batch
+        of *intrusions*; returns the locksets the victim acquired."""
+        real = mgr._acquire_locks
+        intruder = mgr.connect()
+        pending = iter(intrusions)
+        passes = []
+
+        def acquire(session, lockset):
+            if session is victim:
+                passes.append(lockset)
+                for sql in next(pending, ()):
+                    intruder.execute(sql)
+            return real(session, lockset)
+
+        monkeypatch.setattr(mgr, "_acquire_locks", acquire)
+        return passes
+
+    def test_unrelated_ddl_does_not_restart_the_statement(self, db, mgr, monkeypatch):
+        victim = mgr.connect()
+        passes = self._intrude(
+            mgr, monkeypatch, victim, [["CREATE TABLE b (id INT PRIMARY KEY)"]]
+        )
+        generation = db.catalog.generation
+        victim.execute("CREATE TABLE a (id INT PRIMARY KEY)")
+        assert db.catalog.generation > generation + 1  # both DDLs committed
+        assert {"a", "b"} <= set(db.table_names())
+        assert len(passes) == 1, "an identical re-derived lockset must run at once"
+        assert mgr.locks.held(victim.id) == []
+
+    def test_a_lockset_that_really_changed_is_reacquired(self, db, mgr, monkeypatch):
+        _seed(db)
+        db.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+        db.execute("CREATE VIEW w AS SELECT id FROM t")
+        victim = mgr.connect()
+        passes = self._intrude(
+            mgr, monkeypatch, victim,
+            [["DROP VIEW w", "CREATE VIEW w AS SELECT id FROM u"]],
+        )
+        assert victim.query("SELECT COUNT(*) FROM w") == [(0,)]  # u is empty
+        assert [[name for name, _ in lockset] for lockset in passes] == [
+            ["__catalog__", "t"], ["__catalog__", "u"]
+        ]
+        assert mgr.locks.held(victim.id) == []
+
+    def test_a_lockset_that_never_settles_still_gives_up(self, db, mgr, monkeypatch):
+        _seed(db)
+        db.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+        db.execute("CREATE VIEW w AS SELECT id FROM t")
+        victim = mgr.connect()
+        flips = [
+            ["DROP VIEW w", f"CREATE VIEW w AS SELECT id FROM {base}"]
+            for base in ["u", "t"] * 5
+        ]
+        passes = self._intrude(mgr, monkeypatch, victim, flips)
+        with pytest.raises(SessionError, match="would not stabilise"):
+            victim.execute("SELECT COUNT(*) FROM w")
+        assert len(passes) == 10
+        assert mgr.locks.held(victim.id) == []
+
+
 class TestRetryPolicy:
     def test_autocommit_retries_with_seeded_backoff(self, db, mgr):
         _seed(db)
