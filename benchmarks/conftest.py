@@ -1,7 +1,7 @@
 """Shared benchmark infrastructure.
 
 Every bench module regenerates one table or figure of the reconstructed
-evaluation (see DESIGN.md §4).  Output goes two places:
+evaluation (see DESIGN.md §4).  Output goes three places:
 
 * the terminal (via the ``report`` fixture, which bypasses capture), so
   ``pytest benchmarks/ --benchmark-only`` shows the tables live;
@@ -14,32 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import pytest
 
-from repro.obs import Registry, set_registry
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture
-def obs_registry():
-    """A fresh metrics registry installed as the process default.
-
-    Benchmarks that read counters or span histograms use this so one
-    module's numbers never bleed into another's; the previous default is
-    restored afterwards.
-    """
-    fresh = Registry()
-    previous = set_registry(fresh)
-    yield fresh
-    set_registry(previous)
-
-
-def span_summary(registry: Registry, name: str) -> Optional[Dict[str, Any]]:
-    """The ``span.<name>`` histogram summary from *registry*, if recorded."""
-    return registry.snapshot()["histograms"].get(f"span.{name}")
 
 
 @pytest.fixture

@@ -119,17 +119,6 @@ def _check_scan(op: A.Operator) -> None:
             f"of {sorted(PREFETCH_HINTS)}) — the buffer pool cannot pick "
             "a read-ahead strategy",
         )
-    if isinstance(op, A.SeqScan):
-        use_segments = getattr(op, "use_segments", False)
-        if not isinstance(use_segments, bool):
-            _fail(op, f"SeqScan.use_segments must be a bool, got {use_segments!r}")
-        if use_segments and getattr(op.table, "segments", None) is None:
-            _fail(
-                op,
-                f"segment-fed SeqScan over table {op.table.name!r} which "
-                "has no segment store — the batched path would fall over "
-                "at execution time",
-            )
     index = getattr(op, "index", None)
     if index is not None:
         schema_names = {col.name for col in op.table.schema.columns}

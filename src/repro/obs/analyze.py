@@ -9,8 +9,8 @@ nothing.
 Timings are *inclusive*: an operator's elapsed time includes its children,
 matching PostgreSQL's EXPLAIN ANALYZE convention.  ``loops`` counts how
 many times ``rows()`` was restarted (e.g. the inner side of a nested-loop
-join before materialisation, or a re-executed view).  Under vectorized
-execution ``batches`` counts emitted batches; operators without a native
+join before materialisation, or a re-executed view).  ``batches``
+counts emitted batches; operators without a native
 batch path (served by the base-class adapter over ``rows()``) count their
 rows through the ``rows()`` wrapper and only the batch chunking here, so
 nothing is double-counted.
@@ -136,7 +136,7 @@ def render_analyze(
     snapshot; EXPLAIN ANALYZE itself always plans fresh (instrumentation
     wraps the plan's ``rows`` methods, which must never leak into a cached
     tree), so the line reports the cache's lifetime counters, not a hit for
-    this statement.  Under vectorized execution each operator line carries
+    this statement.  Each operator line that emitted batches carries
     ``batches=`` and, where expressions were lowered, ``compiled=yes/no``.
     *verified*, when given, is the operator count the static plan verifier
     checked (see :mod:`repro.analysis.planverify`).

@@ -130,16 +130,14 @@ class SeqScan(Operator):
         self.table = table
         self.alias = (alias or table.name).lower()
         self.layout = RowLayout.for_table(self.alias, table.schema)
-        #: set by the planner when the segment cache should serve this
-        #: scan; deliberately absent from ``label()`` so plan text (and
-        #: the tests pinned to it) is independent of cache configuration
-        self.use_segments = False
 
     def rows(self) -> Iterator[Row]:
         return self.table.rows()
 
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
-        return self.table.rows_batched(batch_size, use_segments=self.use_segments)
+        # Always offer the segment store; a table sized to
+        # ``segment_cache_rows=0`` takes the plain page-at-a-time branch.
+        return self.table.rows_batched(batch_size, use_segments=True)
 
     def label(self) -> str:
         return f"SeqScan({self.table.name} AS {self.alias})"

@@ -24,6 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
@@ -64,7 +65,7 @@ from repro.relational.integrity import (
 from repro.relational.pager import DEFAULT_PREFETCH_PAGES, FilePager, MemoryPager
 from repro.relational.plancache import CacheEntry, PlanCache
 from repro.relational.segments import DEFAULT_SEGMENT_ROWS
-from repro.relational.planner import Planner, PlannerConfig
+from repro.relational.planner import REPLAN_FACTOR, Planner, PlannerConfig
 from repro.relational.schema import Column, ForeignKey, TableSchema
 from repro.relational.table import Table
 from repro.relational.txn import TransactionManager
@@ -1232,10 +1233,7 @@ class Database:
         op_stats = instrument(plan)
         with self.tracer.span("db.explain_analyze") as span:
             start = time.perf_counter()
-            if self.planner_config.vectorized:
-                produced = sum(len(batch) for batch in plan.rows_batched())
-            else:
-                produced = sum(1 for _row in plan.rows())
+            produced = sum(len(batch) for batch in self._iter_batches(plan))
             execution_ms = (time.perf_counter() - start) * 1000.0
             span.tag("rows", produced)
         self.stats["selects"] += 1
@@ -1260,16 +1258,15 @@ class Database:
         Called after an instrumented execution (a sampled run or EXPLAIN
         ANALYZE) has folded true per-operator cardinalities into the
         ``_plan_stats`` aggregate.  When the worst est-vs-act factor for
-        this plan shape reaches ``replan_factor``, the referenced tables
+        this plan shape reaches ``REPLAN_FACTOR``, the referenced tables
         are re-ANALYZEd and every cached entry holding this plan has its
         plan slot cleared — the statement re-plans under fresh statistics
         on its next execution, while the rest of the cache stays hot.
         """
-        config = self.planner_config
-        if not config.adaptive_replan or plan_fp in self._replanned_fps:
+        if plan_fp in self._replanned_fps:
             return
         worst = self.statement_log.worst_factor_for(plan_fp)
-        if worst is None or worst < config.replan_factor:
+        if worst is None or worst < REPLAN_FACTOR:
             return
         if len(self._replanned_fps) >= 1024:  # bound the loop guard
             self._replanned_fps.clear()
@@ -1342,7 +1339,6 @@ class Database:
             "planner": dict(self.planner.metrics),
             "plan_cache": self.plan_cache.snapshot(),
             "executor": {
-                "vectorized": self.planner_config.vectorized,
                 "batches": EXEC_METRICS["batches"],
                 "batch_rows": EXEC_METRICS["batch_rows"],
                 "exprs_compiled": exprcompile.COMPILE_METRICS["compiled"],
@@ -1392,16 +1388,8 @@ class Database:
         self._row_budget = _RowBudget(limit) if limit else None
 
     def _collect_rows(self, plan: Operator) -> List[Row]:
-        """Materialise a plan's output through the configured executor mode."""
+        """Materialise a plan's output, charging the statement row budget."""
         budget = self._row_budget
-        if not self.planner_config.vectorized:
-            if budget is None:
-                return list(plan.rows())
-            rows = []
-            for row in plan.rows():
-                budget.charge(1)
-                rows.append(row)
-            return rows
         rows: List[Row] = []
         extend = rows.extend
         batches = 0
@@ -1414,29 +1402,25 @@ class Database:
         EXEC_METRICS["batch_rows"] += len(rows)
         return rows
 
-    def _iter_rows(self, plan: Operator) -> Iterator[Row]:
-        """Lazy row iterator through the configured executor mode."""
+    def _iter_batches(self, plan: Operator) -> Iterator[List[Row]]:
+        """Lazy batch iterator, charging the statement row budget."""
+        # Captured now, not at first next(): a stream outlives the
+        # statement that armed its budget.
         budget = self._row_budget
-        if not self.planner_config.vectorized:
-            if budget is None:
-                return plan.rows()
 
-            def counted() -> Iterator[Row]:
-                for row in plan.rows():
-                    budget.charge(1)
-                    yield row
-
-            return counted()
-
-        def flatten() -> Iterator[Row]:
+        def batches() -> Iterator[List[Row]]:
             for batch in plan.rows_batched():
                 if budget is not None:
                     budget.charge(len(batch))
                 EXEC_METRICS["batches"] += 1
                 EXEC_METRICS["batch_rows"] += len(batch)
-                yield from batch
+                yield batch
 
-        return flatten()
+        return batches()
+
+    def _iter_rows(self, plan: Operator) -> Iterator[Row]:
+        """Lazy row iterator over :meth:`_iter_batches`."""
+        return chain.from_iterable(self._iter_batches(plan))
 
     def _run_select(
         self,

@@ -19,7 +19,7 @@ The planner performs, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import BindError, PlanError
@@ -44,49 +44,30 @@ SEQ_PAGE_COST = 1.0
 RANDOM_PAGE_COST = 2.0
 CPU_TUPLE_COST = 0.01
 HASH_BUILD_COST = 0.02
+#: DP enumerates 2^n subsets; beyond this many relations joins order greedily
+MAX_DP_RELATIONS = 8
+#: a cached plan whose row estimate was off by at least this factor is
+#: re-planned after re-ANALYZE (Database._consider_replan)
+REPLAN_FACTOR = 10.0
 
 
 @dataclass
 class PlannerConfig:
-    """Feature switches, primarily for the ablation benchmarks."""
+    """The planner switches the paper reconstructions ablate (DESIGN.md
+    Abl B, Fig 1, Table 4) and the planner-equivalence property varies.
+    Everything else the planner decides from what it can observe."""
 
     enable_pushdown: bool = True
     enable_index_selection: bool = True
     enable_join_reorder: bool = True
     #: 'auto' (hash for equi-joins, NL otherwise), or force 'nl'/'hash'/'merge'
     join_strategy: str = "auto"
-    #: batch-at-a-time execution with compiled expressions; False forces
-    #: the tuple-at-a-time path (the A/B baseline for bench_vectorized)
-    vectorized: bool = True
-    #: serve vectorized SeqScans from the columnar segment cache when the
-    #: table's heap version matches (the A/B baseline for bench_bufferpool)
-    segment_cache: bool = True
-    #: 'dp' (cost-based dynamic-programming enumeration, used when every
-    #: joined table has ANALYZE stats) or 'greedy' (smallest-first heuristic)
-    join_enumeration: str = "dp"
-    #: DP enumerates 2^n subsets; beyond this many relations fall back to greedy
-    max_dp_relations: int = 8
-    #: close the loop from _plan_stats back into the plan cache: cached
-    #: statements whose estimates were off by >= replan_factor are re-planned
-    adaptive_replan: bool = True
-    replan_factor: float = 10.0
 
     def fingerprint(self) -> Tuple[Any, ...]:
         """Hashable digest of every switch; part of the plan-cache key, so
         plans produced under one configuration are never replayed under
         another (even when the config object is mutated in place)."""
-        return (
-            self.enable_pushdown,
-            self.enable_index_selection,
-            self.enable_join_reorder,
-            self.join_strategy,
-            self.vectorized,
-            self.segment_cache,
-            self.join_enumeration,
-            self.max_dp_relations,
-            self.adaptive_replan,
-            self.replan_factor,
-        )
+        return astuple(self)
 
 
 @dataclass
@@ -320,17 +301,6 @@ class Planner:
             layout = layout + E.RowLayout.for_table(binding.alias, binding.schema)
         return layout
 
-    def _seq_scan(self, table: Table, alias: str) -> Alg.SeqScan:
-        """A SeqScan carrying this config's segment-cache decision.
-
-        The flag rides on the operator instance, not the label, so EXPLAIN
-        text stays stable; the fingerprint entry for ``segment_cache``
-        keeps cached plans from crossing configurations.
-        """
-        scan = Alg.SeqScan(table, alias)
-        scan.use_segments = self.config.vectorized and self.config.segment_cache
-        return scan
-
     def _scan_for(self, binding: _Binding, pool: List[E.Expr]) -> Alg.Operator:
         """Build the access path for one binding, consuming pushable conjuncts."""
         mine: List[E.Expr] = []
@@ -350,7 +320,7 @@ class Planner:
             column_names = [c.name for c in binding.source.schema.columns]
             scan: Alg.Operator = Alg.Rename(inner, binding.alias, column_names)
         else:
-            scan = self._seq_scan(binding.source, binding.alias)
+            scan = Alg.SeqScan(binding.source, binding.alias)
             if (
                 mine
                 and self.config.enable_index_selection
@@ -516,12 +486,12 @@ class Planner:
                 self.metrics[metric] += 1
                 return op, [c for c in conjuncts if c not in used]
             self.metrics["seq_scans"] += 1
-            return self._seq_scan(table, binding.alias), conjuncts
+            return Alg.SeqScan(table, binding.alias), conjuncts
 
         rows = float(stats.row_count)
         seq_cost = stats.pages * SEQ_PAGE_COST + rows * CPU_TUPLE_COST
         best_metric = "seq_scans"
-        best_op: Alg.Operator = self._seq_scan(table, binding.alias)
+        best_op: Alg.Operator = Alg.SeqScan(table, binding.alias)
         best_used: Set[E.Expr] = set()
         best_cost = seq_cost
         for metric, op, used in candidates:
@@ -593,8 +563,7 @@ class Planner:
         if not (
             config.enable_join_reorder
             and config.enable_pushdown
-            and config.join_enumeration == "dp"
-            and 2 <= len(bindings) <= config.max_dp_relations
+            and 2 <= len(bindings) <= MAX_DP_RELATIONS
         ):
             return False
         if any(b.join_kind == "left" for b in bindings):

@@ -203,17 +203,6 @@ class TestMalformedPlansRejected:
         op.prefetch_hint = "psychic"
         _rejects(op, r"unknown prefetch_hint 'psychic'")
 
-    def test_segment_fed_scan_without_segment_store(self, db):
-        op = _find(_plan(db, "SELECT id FROM t"), "SeqScan")
-        op.use_segments = True
-        op.table.segments = None
-        _rejects(op, r"segment-fed SeqScan over table 't' which has no segment store")
-
-    def test_use_segments_must_be_bool(self, db):
-        op = _find(_plan(db, "SELECT id FROM t"), "SeqScan")
-        op.use_segments = "yes"
-        _rejects(op, r"use_segments must be a bool")
-
     def test_range_scan_bound_longer_than_index(self, db):
         op = _find(
             _plan(db, "SELECT id FROM t WHERE val >= 0 AND val <= 2"),

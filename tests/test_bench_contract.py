@@ -10,7 +10,9 @@ They import from ``benchmarks/e2e`` and never edit it.
 from __future__ import annotations
 
 import importlib
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +129,14 @@ def test_metrics_snapshot_has_every_key_the_harness_reads(forms_env):
         if key not in snapshot.get(section, {})
     ]
     assert missing == []
+
+
+def test_bench_modules_are_exactly_those_design_md_section_4_names():
+    # an orphan bench (no row in the experiment index) or a dangling doc
+    # pointer (a row whose file is gone) is a one-second failure here
+    root = Path(__file__).resolve().parent.parent
+    design = (root / "DESIGN.md").read_text(encoding="utf-8")
+    section = design.split("## 4. Reconstructed evaluation", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(bench_\w+\.py)`", section))
+    present = {path.name for path in (root / "benchmarks").glob("bench_*.py")}
+    assert present == named

@@ -17,7 +17,6 @@ from repro.relational.database import Database
 from repro.relational.faults import FaultInjector
 from repro.relational.heap import HeapFile, RowId
 from repro.relational.pager import PAGE_SIZE, FilePager, MemoryPager
-from repro.relational.planner import PlannerConfig
 from repro.relational.schema import Column, TableSchema
 from repro.relational.segments import SegmentStore
 from repro.relational.table import Table
@@ -311,32 +310,6 @@ class TestSegmentCache:
         table.segments.max_rows = 0
         list(table.rows_batched(100, use_segments=True))
         assert table.segments.stats["seg_builds"] == 0
-
-    def test_planner_fingerprint_covers_segment_knob(self):
-        on = PlannerConfig(segment_cache=True).fingerprint()
-        off = PlannerConfig(segment_cache=False).fingerprint()
-        assert on != off
-
-    def test_planner_sets_flag_only_when_vectorized(self):
-        from repro.sql.parser import parse_statement
-
-        db = Database()
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        statement = parse_statement("SELECT * FROM t")
-        plan = db.planner.plan_select(statement)
-        scans = [op for op in _walk(plan) if type(op).__name__ == "SeqScan"]
-        assert scans and all(s.use_segments for s in scans)
-        db.planner_config.vectorized = False
-        plan = db.planner.plan_select(statement)
-        scans = [op for op in _walk(plan) if type(op).__name__ == "SeqScan"]
-        assert scans and not any(s.use_segments for s in scans)
-        db.close()
-
-
-def _walk(op):
-    yield op
-    for child in op.children():
-        yield from _walk(child)
 
 
 class TestStorageSystemTable:

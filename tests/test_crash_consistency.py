@@ -212,14 +212,11 @@ class TestCrashExhaustion:
     def test_vectorized_execution_survives_crash_exhaustion(self, tmp_path):
         """The batched executor is the recovery-verification path too.
 
-        Database defaults to vectorized execution, so every recovery +
+        Batched execution is the only statement path, so every recovery +
         integrity check above already runs through batched scans; this
         pins that explicitly with a small workload and exercises a
         batched query against each recovered database.
         """
-        from repro.relational.planner import PlannerConfig
-
-        assert PlannerConfig().vectorized, "vectorized must be the default"
         path = str(tmp_path / "db")
 
         def run(shim):
@@ -241,7 +238,6 @@ class TestCrashExhaustion:
         def verify(shim):
             db = Database(path=path, fsync=False)
             try:
-                assert db.planner_config.vectorized
                 assert db.wal.recovery_stats["unmatched_ops"] == 0
                 report = db.integrity_check()  # scans via scan_batched()
                 assert report.ok, report.to_lines()

@@ -237,16 +237,6 @@ class TestBatchedEquivalence:
             f"batched execution (batch_size={batch_size}) diverged for {sql}"
         )
 
-    @given(rows=st.lists(row_strategy, max_size=30), sql=batched_query_strategy)
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_vectorized_flag_preserves_results(self, rows, sql):
-        """End-to-end: the A/B config flag must not change any result."""
-        db = _make_db(rows)
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        reference = db.query(sql)
-        db.set_planner_config(PlannerConfig(vectorized=True))
-        assert db.query(sql) == reference, f"vectorized flag changed results for {sql}"
-
     def test_empty_table_yields_no_batches(self):
         from repro.sql.parser import parse_statement
 

@@ -529,6 +529,23 @@ class TestRetryPolicy:
         assert session.query("SELECT v FROM t WHERE id = 1") == [(10,)]
         mgr.close()
 
+    def test_explain_analyze_pays_the_row_budget_and_counts_batches(self, db):
+        # EXPLAIN ANALYZE *runs* the query: it used to drain the plan
+        # itself, bypassing the budget and the executor counters.
+        _seed(db)
+        db.execute(
+            "INSERT INTO t VALUES " + ",".join(f"({i},1)" for i in range(3, 201))
+        )
+        before = db.metrics_snapshot()["executor"]["batches"]
+        result = db.execute("EXPLAIN ANALYZE SELECT * FROM t")
+        assert result.rowcount == 200 and result.rows == []
+        assert db.metrics_snapshot()["executor"]["batches"] > before
+        db.statement_max_rows = 50
+        with pytest.raises(StatementTimeoutError):
+            db.execute("SELECT * FROM t")
+        with pytest.raises(StatementTimeoutError):
+            db.execute("EXPLAIN ANALYZE SELECT * FROM t")
+
 
 class TestDegradation:
     def test_undo_failure_degrades_to_read_only(self, db, mgr):

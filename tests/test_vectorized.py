@@ -30,7 +30,6 @@ from repro.relational.expr import (
     bind,
 )
 from repro.relational.exprcompile import compile_expr, compile_row_fn
-from repro.relational.planner import PlannerConfig
 from repro.relational.rowcodec import decode_row, encode_row, span_decoder
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import ColumnType
@@ -255,35 +254,10 @@ class TestExecutorObservability:
         assert "compiled=yes" in text
         assert "compiled=no" not in text
 
-    def test_explain_analyze_tuple_mode_has_no_batches(self):
-        db = self._db()
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        text = db.execute("EXPLAIN ANALYZE SELECT * FROM t WHERE id >= 2").plan
-        assert "batches=" not in text
-        assert "rows=8" in text
-
     def test_metrics_snapshot_executor_section(self):
         db = self._db()
         db.query("SELECT name FROM t WHERE grp = 1")
         snap = db.metrics_snapshot()["executor"]
-        assert snap["vectorized"] is True
         assert snap["batches"] >= 1
         assert snap["batch_rows"] >= 3
         assert snap["exprs_compiled"] >= 1
-
-    def test_vectorized_flag_in_plan_cache_fingerprint(self):
-        # Cached plans must never cross executor modes.
-        assert (
-            PlannerConfig(vectorized=True).fingerprint()
-            != PlannerConfig(vectorized=False).fingerprint()
-        )
-
-    def test_ab_modes_agree_end_to_end(self):
-        db = self._db()
-        sql = (
-            "SELECT grp, COUNT(*) AS n FROM t WHERE name LIKE 'n%' "
-            "GROUP BY grp HAVING COUNT(*) > 1 ORDER BY grp"
-        )
-        vectorized = db.query(sql)
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        assert db.query(sql) == vectorized
