@@ -55,10 +55,11 @@ def _time_strategy(db: Database, strategy: str, repeats: int = 3) -> float:
     """The join operator's inclusive time, via EXPLAIN ANALYZE machinery.
 
     Instead of wall-clocking execute() from the outside, each repeat
-    instruments the operator tree (exactly what EXPLAIN ANALYZE does) and
-    reads the join node's own counters — so the number excludes parsing,
-    planning, and result assembly, and the row count is verified at the
-    operator where it is produced.
+    instruments the operator tree and drains it through ``rows_batched``
+    (exactly what EXPLAIN ANALYZE and every statement do), then reads the
+    join node's own counters — so the number excludes parsing, planning,
+    and result assembly, and the row count is verified at the operator
+    where it is produced.
     """
     db.planner_config.join_strategy = strategy
     expected = db.execute("SELECT COUNT(*) FROM details").scalar()
@@ -66,7 +67,7 @@ def _time_strategy(db: Database, strategy: str, repeats: int = 3) -> float:
     for _ in range(repeats):
         plan = db.planner.plan_select(parse_statement(QUERY))
         stats = instrument(plan)
-        rows = list(plan.rows())
+        rows = [row for batch in plan.rows_batched() for row in batch]
         join_op = _find_op(plan, lambda op: "Join" in op.label())
         assert join_op is not None, plan.explain()
         join_stats = stats[id(join_op)]

@@ -9,7 +9,8 @@ must never apply Python truthiness to three-valued-logic results.  This
 package enforces them at review time instead of relying on vigilance:
 
 * :mod:`repro.analysis.linter` — ``wowlint``, an AST linter with
-  engine-specific rules WOW001–WOW006 (see :mod:`repro.analysis.rules`),
+  engine-specific per-file rules (see :mod:`repro.analysis.rules`) and
+  the WOW009/WOW010 concurrency pass,
   a checked-in baseline for pre-existing debt, and a CLI
   (``python -m repro.analysis --check src tests``) wired into CI;
 * :mod:`repro.analysis.planverify` — a static verifier for physical plan
@@ -31,7 +32,7 @@ from repro.analysis.planverify import (
     maybe_verify_plan,
     verify_plan,
 )
-from repro.analysis.rules import RULES, Violation, native_batched_operators
+from repro.analysis.rules import RULES, Violation
 
 __all__ = [
     "LintReport",
@@ -44,6 +45,5 @@ __all__ = [
     "lint_source",
     "main",
     "maybe_verify_plan",
-    "native_batched_operators",
     "verify_plan",
 ]

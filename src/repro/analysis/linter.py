@@ -1,9 +1,9 @@
 """wowlint: file walking, rule dispatch, baseline application, CLI entry.
 
 ``lint_source`` lints one in-memory file (the unit the rule tests drive);
-``lint_paths`` walks real paths, runs the project-level WOW006 pass, and
-applies the baseline and inline suppressions.  ``main`` is the argparse
-CLI behind ``python -m repro.analysis``.
+``lint_paths`` walks real paths, runs the project-level WOW009/WOW010
+pass, and applies the baseline and inline suppressions.  ``main`` is the
+argparse CLI behind ``python -m repro.analysis``.
 
 Inline suppression: a ``# wowlint: allow WOW00x`` comment on the violating
 line (or the line directly above it) suppresses that code there.  Use it
@@ -27,14 +27,9 @@ from repro.analysis.rules import (
     RULES,
     Violation,
     annotate_scopes,
-    check_batched_registry,
 )
 
 _ALLOW_RE = re.compile(r"#\s*wowlint:\s*allow\s+([A-Z0-9,\s]+)")
-
-#: the two files WOW006 cross-references, relative to the repo root
-_ALGEBRA_RELPATH = "src/repro/relational/algebra.py"
-_REGISTRY_RELPATH = "tests/test_property_engine.py"
 
 #: the concurrency project pass (WOW009/WOW010) needs the whole engine
 #: call graph; it runs only when the lock-table module is in scope, so
@@ -199,7 +194,8 @@ def lint_paths(
     baseline_path: Optional[str] = None,
     use_baseline: bool = True,
 ) -> LintReport:
-    """Lint files/directories, run the WOW006 project pass, apply baseline."""
+    """Lint files/directories, run the WOW009/WOW010 project pass, apply
+    the baseline."""
     root = None
     for p in paths:
         root = find_repo_root(p)
@@ -208,7 +204,6 @@ def lint_paths(
     report = LintReport()
     all_violations: List[Violation] = []
     seen: Set[str] = set()
-    sources: Dict[str, str] = {}  # relpath -> source, for the project pass
     conc_sources: Dict[str, str] = {}  # src/repro/* sources, for WOW009/010
     for path in _iter_python_files(paths):
         relpath = _relpath(path, root)
@@ -222,26 +217,12 @@ def lint_paths(
             report.parse_errors.append(f"{relpath}: unreadable ({exc})")
             continue
         report.files_checked += 1
-        if relpath in (_ALGEBRA_RELPATH, _REGISTRY_RELPATH):
-            sources[relpath] = source
         if relpath.startswith("src/repro/"):
             conc_sources[relpath] = source
         try:
             all_violations.extend(lint_source(source, relpath))
         except SyntaxError as exc:
             report.parse_errors.append(f"{relpath}: syntax error at line {exc.lineno}")
-
-    # Project pass: WOW006 only fires when the algebra file was in scope,
-    # so linting an unrelated directory doesn't demand the registry.
-    if _ALGEBRA_RELPATH in sources:
-        all_violations.extend(
-            check_batched_registry(
-                _ALGEBRA_RELPATH,
-                sources[_ALGEBRA_RELPATH],
-                _REGISTRY_RELPATH,
-                sources.get(_REGISTRY_RELPATH),
-            )
-        )
 
     # Project pass: the interprocedural concurrency rules (WOW009/WOW010)
     # run over the whole collected engine tree; inline `# wowlint: allow`

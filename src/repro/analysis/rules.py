@@ -2,10 +2,9 @@
 
 Each rule has a stable code, a one-line description, a path scope (rules
 only fire where the invariant they protect applies), and a fix-it message
-telling the author what the compliant code looks like.  Rules WOW001–WOW005
-are per-file AST visitors; WOW006 is a project rule that cross-references
-two files (the operator algebra and the batched-equivalence property-test
-registry).
+telling the author what the compliant code looks like.  The rules in
+:data:`RULES` are per-file AST visitors; WOW009/WOW010 are project rules
+over the whole engine call graph (:mod:`repro.analysis.concurrency`).
 
 Adding a rule: subclass :class:`Rule`, give it ``code``/``title``/``fixit``,
 implement ``applies`` (path scope) and ``check`` (AST walk returning
@@ -579,104 +578,6 @@ class SharedMutableState(Rule):
 
 
 # ---------------------------------------------------------------------------
-# WOW006 — batched operators must appear in the equivalence-test registry
-# ---------------------------------------------------------------------------
-
-#: name of the dict in tests/test_property_engine.py that maps every
-#: native-batched operator to a SQL statement whose plan exercises it
-REGISTRY_NAME = "BATCHED_OPERATOR_REGISTRY"
-
-_WOW006_FIXIT = (
-    f"add the operator to {REGISTRY_NAME} in tests/test_property_engine.py "
-    "with a SQL statement whose plan contains it (the meta-test checks both "
-    "directions)"
-)
-
-
-def native_batched_operators(algebra_source: str) -> List[Tuple[str, int]]:
-    """(class name, line) of every Operator subclass in *algebra_source*
-    that defines its own ``rows_batched`` (mirrors the runtime check
-    ``type(op).rows_batched is not Operator.rows_batched``)."""
-    tree = ast.parse(algebra_source)
-    found: List[Tuple[str, int]] = []
-    for node in ast.iter_child_nodes(tree):
-        if not isinstance(node, ast.ClassDef) or node.name == "Operator":
-            continue
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef) and item.name == "rows_batched":
-                found.append((node.name, node.lineno))
-                break
-    return found
-
-
-def registry_keys(test_source: str) -> Optional[Set[str]]:
-    """String keys of the ``BATCHED_OPERATOR_REGISTRY`` dict literal, or
-    None when the registry assignment is missing."""
-    tree = ast.parse(test_source)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == REGISTRY_NAME:
-                if isinstance(node.value, ast.Dict):
-                    return {
-                        key.value
-                        for key in node.value.keys
-                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    }
-                return set()
-    return None
-
-
-def check_batched_registry(
-    algebra_path: str,
-    algebra_source: str,
-    registry_path: Optional[str],
-    registry_source: Optional[str],
-) -> List[Violation]:
-    """WOW006: every native-batched operator must be registered for the
-    batched-equivalence property tests."""
-    operators = native_batched_operators(algebra_source)
-    if registry_source is None:
-        return [
-            Violation(
-                code="WOW006",
-                path=registry_path or "tests/test_property_engine.py",
-                line=1,
-                col=0,
-                scope="<module>",
-                message=(
-                    f"{REGISTRY_NAME} not found — native-batched operators "
-                    "have no equivalence coverage ledger"
-                ),
-                fixit=_WOW006_FIXIT,
-            )
-        ]
-    keys = registry_keys(registry_source)
-    if keys is None:
-        keys = set()
-    out: List[Violation] = []
-    for name, line in operators:
-        if name not in keys:
-            out.append(
-                Violation(
-                    code="WOW006",
-                    path=algebra_path,
-                    line=line,
-                    col=0,
-                    scope=name,
-                    message=(
-                        f"operator {name} has a native rows_batched but is "
-                        f"missing from {REGISTRY_NAME} — its batched path has "
-                        "no equivalence property-test coverage"
-                    ),
-                    fixit=_WOW006_FIXIT,
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # WOW008 — scan operators must declare their page-access pattern
 # ---------------------------------------------------------------------------
 
@@ -747,8 +648,7 @@ class UndeclaredPrefetchHint(Rule):
         return None
 
 
-#: the per-file rules, in code order (WOW006 is project-level; see
-#: check_batched_registry and the linter's project pass)
+#: the per-file rules, in code order
 RULES: Sequence[Rule] = (
     RawEngineIO(),
     BroadExcept(),
@@ -761,7 +661,6 @@ RULES: Sequence[Rule] = (
 
 #: code -> one-line description, for --list-rules and the docs
 RULE_CATALOG: Dict[str, str] = {rule.code: rule.title for rule in RULES}
-RULE_CATALOG["WOW006"] = "native-batched operator missing from the equivalence-test registry"
 # project-level interprocedural rules (repro.analysis.concurrency)
 RULE_CATALOG["WOW009"] = (
     "latch held across a blocking lock wait, lock-order cycle, or "

@@ -9,6 +9,7 @@ tree; trees are immutable after construction.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -219,6 +220,15 @@ _ARITH_OPS = {"+", "-", "*", "/", "%"}
 _BOOL_OPS = {"and", "or"}
 
 
+def sql_mod(lhs: Any, rhs: Any) -> Any:
+    """SQL ``%``: the remainder takes the sign of the dividend (truncated
+    division, as in sqlite and PostgreSQL), unlike Python's ``%``."""
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        return math.fmod(lhs, rhs)
+    remainder = abs(lhs) % abs(rhs)
+    return -remainder if lhs < 0 else remainder
+
+
 class BinOp(Expr):
     """Binary operator: comparison, arithmetic, AND/OR."""
 
@@ -270,7 +280,7 @@ class BinOp(Expr):
         if op == "%":
             if rhs == 0:
                 raise ExecutionError(f"modulo by zero in {self.to_sql()}")
-            return lhs % rhs
+            return sql_mod(lhs, rhs)
         raise ExecutionError(f"unhandled operator {op!r}")  # pragma: no cover
 
     def to_sql(self) -> str:
@@ -414,6 +424,8 @@ class InList(Expr):
         return (self.operand,) + self.items
 
     def eval(self, row: Sequence[Any]) -> Any:
+        if not self.items:  # an IN subquery that returned no rows
+            return self.negated
         value = self.operand.eval(row)
         if value is None:
             return None

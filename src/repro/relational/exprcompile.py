@@ -132,7 +132,7 @@ def _mod(lhs: Any, rhs: Any, sql: str) -> Any:
     _arith_guard(lhs, rhs, "%", sql)
     if rhs == 0:
         raise ExecutionError(f"modulo by zero in {sql}")
-    return lhs % rhs
+    return E.sql_mod(lhs, rhs)
 
 
 def _neg(value: Any) -> Any:
@@ -154,7 +154,10 @@ def _like(value: Any, match: Callable[[str], Any], negated: bool) -> Optional[bo
 
 def _in(value: Any, candidates: Tuple[Any, ...], negated: bool) -> Optional[bool]:
     # SQL IN: membership via compare() (not Python ==, which would let
-    # TRUE match 1), with NULL-in-the-list semantics.
+    # TRUE match 1), with NULL-in-the-list semantics.  Nothing is IN an
+    # empty list, not even NULL (an IN subquery that returned no rows).
+    if not candidates:
+        return negated
     if value is None:
         return None
     saw_null = False
@@ -260,6 +263,9 @@ class _Emitter:
                 return f"_not(_b({operand}))"
             return f"_neg({operand})"
         if isinstance(expr, E.IsNull):
+            if isinstance(expr.operand, E.Literal):
+                # fold: `5 is None` is a SyntaxWarning in generated code
+                return repr((expr.operand.value is None) != expr.negated)
             test = "is not None" if expr.negated else "is None"
             return f"(({self.emit(expr.operand)}) {test})"
         if isinstance(expr, E.Like):

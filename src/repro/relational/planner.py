@@ -235,19 +235,23 @@ class Planner:
                 return None
             inner = self.plan_select(node.select)
             if node.kind == "exists":
-                has_rows = next(iter(inner.rows()), None) is not None
-                return E.Literal(has_rows)
+                # Batches of one row: stop at the first row, not the first
+                # full batch.
+                first = next(Alg.Limit(inner, 1).rows_batched(1), None)
+                return E.Literal(first is not None)
             if node.kind == "scalar":
                 if len(inner.layout) != 1:
                     raise PlanError("scalar subquery must return one column")
-                rows = list(Alg.Limit(inner, 2).rows())
+                rows = [
+                    row for batch in Alg.Limit(inner, 2).rows_batched(2) for row in batch
+                ]
                 if len(rows) > 1:
                     raise PlanError("scalar subquery returned more than one row")
                 return E.Literal(rows[0][0] if rows else None)
             if node.kind == "in":
                 if len(inner.layout) != 1:
                     raise PlanError("IN subquery must return one column")
-                values = {row[0] for row in inner.rows()}
+                values = {row[0] for batch in inner.rows_batched() for row in batch}
                 items = [E.Literal(v) for v in sorted(
                     values, key=lambda v: (v is None, str(type(v)), str(v))
                 )]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import BindError, ExecutionError, TypeMismatchError
+from repro.relational import exprcompile
 from repro.relational.expr import (
     BinOp,
     ColumnRef,
@@ -82,6 +83,22 @@ class TestEvaluation:
         assert run(BinOp("*", ColumnRef("c", "u"), Literal(2))) == 7.0
         assert run(BinOp("-", Literal(2), Literal(5))) == -3
         assert run(BinOp("%", Literal(7), Literal(3))) == 1
+
+    def test_modulo_sign_follows_dividend(self):
+        # SQL (sqlite, PostgreSQL) truncates; Python's % floors.
+        cases = ((-2, 3, -2), (-7, 3, -1), (7, -3, 1), (-7, -3, -1), (-7.5, 2, -1.5))
+        for lhs, rhs, want in cases:
+            expr = BinOp("%", Literal(lhs), Literal(rhs))
+            assert run(expr) == want
+            assert exprcompile.compile_expr(expr)[0](()) == want
+
+    def test_nothing_is_in_an_empty_list_not_even_null(self):
+        # An IN subquery that returned no rows materialises to an empty list.
+        for operand in (Literal(None), Literal(1)):
+            for negated, want in ((False, False), (True, True)):
+                expr = InList(operand, [], negated)
+                assert run(expr) is want
+                assert exprcompile.compile_expr(expr)[0](()) is want
 
     def test_integer_division_exact_stays_int(self):
         assert run(BinOp("/", Literal(6), Literal(3))) == 2

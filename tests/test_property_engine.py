@@ -127,115 +127,58 @@ class TestPlannerEquivalence:
         assert positive + negative + nulls == len(rows)
 
 
-#: wowlint WOW006 ledger: every Operator subclass with a *native*
-#: ``rows_batched`` maps to a SQL statement whose plan contains it.  The
-#: linter cross-references these keys against algebra.py; the meta-tests
-#: below check the other direction (each SQL really exercises its operator
-#: and its batched path matches the tuple path).
-BATCHED_OPERATOR_REGISTRY = {
-    "SeqScan": "SELECT id, grp, val, tag FROM t",
-    "IndexEqScan": "SELECT id FROM t WHERE val = 3",
-    "IndexRangeScan": "SELECT id FROM t WHERE val >= -5 AND val <= 5",
-    "RowSource": "SELECT 1, 'x'",
-    "Rename": "SELECT vid FROM tv",
-    "Filter": "SELECT id FROM t WHERE tag = 'a'",
-    "Project": "SELECT id FROM t",
-    "Sort": "SELECT id FROM t ORDER BY tag",
-    "Limit": "SELECT id FROM t LIMIT 5",
-    "Distinct": "SELECT DISTINCT tag FROM t",
-    "HashJoin": "SELECT t.id, g.label FROM t JOIN g ON t.grp = g.grp",
-    "UnionAll": "SELECT id FROM t UNION ALL SELECT grp FROM g",
-    "Aggregate": "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp",
-}
+def _concrete_operators():
+    import repro.relational.algebra as algebra_mod
+
+    return [
+        cls for cls in algebra_mod.Operator.__subclasses__()
+        if cls.__module__ == algebra_mod.__name__
+    ]
 
 
 class TestBatchedOperatorRegistry:
-    """The registry is honest in both directions: complete and exercising."""
-
-    @staticmethod
-    def _plan_for(db, sql):
-        from repro.sql.ast_nodes import Union as SqlUnion
-        from repro.sql.parser import parse_statement
-
-        statement = parse_statement(sql)
-        if isinstance(statement, SqlUnion):
-            return db.planner.plan_union(statement)
-        return db.planner.plan_select(statement)
+    """The operator set is derived, not hand-kept: every concrete operator
+    speaks the one batched protocol, and the differential corpus plans it."""
 
     def test_registry_covers_every_native_batched_operator(self):
-        import inspect
-
         import repro.relational.algebra as algebra_mod
-        from repro.analysis.rules import native_batched_operators
 
-        source = inspect.getsource(algebra_mod)
-        native = {name for name, _line in native_batched_operators(source)}
-        assert set(BATCHED_OPERATOR_REGISTRY) == native, (
-            "BATCHED_OPERATOR_REGISTRY out of sync with algebra.py: "
-            f"missing={sorted(native - set(BATCHED_OPERATOR_REGISTRY))} "
-            f"extra={sorted(set(BATCHED_OPERATOR_REGISTRY) - native)}"
-        )
+        operators = _concrete_operators()
+        assert operators, "no Operator subclasses found in algebra.py"
+        without_batches = [
+            cls.__name__ for cls in operators if "rows_batched" not in vars(cls)
+        ]
+        assert without_batches == [], f"operators without rows_batched: {without_batches}"
+        own_rows = [cls.__name__ for cls in operators if "rows" in vars(cls)]
+        assert own_rows == [], f"rows() must come only from Operator: {own_rows}"
+        with pytest.raises(NotImplementedError):
+            algebra_mod.Operator().rows_batched()
 
     def test_each_registered_sql_exercises_its_operator(self):
         from repro.analysis.planverify import iter_operators, verify_plan
+        from tests.test_differential_sqlite import (
+            CONFIGS,
+            CORPUS,
+            CORPUS_SCHEMA,
+            _load_wow,
+            _plan,
+        )
 
-        db = _make_db([(1, 3, "a"), (2, -1, "b"), (None, 5, "ab"), (0, None, "")])
-        db.execute("CREATE VIEW tv AS SELECT id AS vid FROM t WHERE val > 0")
-        for op_name, sql in BATCHED_OPERATOR_REGISTRY.items():
-            plan = self._plan_for(db, sql)
-            kinds = {type(op).__name__ for op in iter_operators(plan)}
-            assert op_name in kinds, (
-                f"{sql!r} no longer exercises {op_name}; its plan contains {sorted(kinds)}"
-            )
-            verify_plan(plan)
-            reference = list(plan.rows())
-            flattened = [row for batch in plan.rows_batched(batch_size=2) for row in batch]
-            assert flattened == reference, f"batched path diverged for {op_name}"
-
-
-batched_query_strategy = st.sampled_from(
-    [
-        # Plain scans and filters (NULL-heavy columns flow through batches).
-        "SELECT id, grp, val, tag FROM t ORDER BY id",
-        "SELECT id FROM t WHERE val IS NULL ORDER BY id",
-        "SELECT id FROM t WHERE val > 0 ORDER BY id",
-        # LIMIT/OFFSET chosen to straddle the small batch sizes below.
-        "SELECT id FROM t ORDER BY id LIMIT 5",
-        "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 3",
-        "SELECT id FROM t ORDER BY id LIMIT 0",
-        # DISTINCT must dedupe across batch boundaries.
-        "SELECT DISTINCT grp FROM t ORDER BY grp",
-        "SELECT DISTINCT tag FROM t ORDER BY tag",
-        # Joins, grouping, and index scans get their native batched paths.
-        "SELECT t.id, g.label FROM t JOIN g ON t.grp = g.grp ORDER BY t.id",
-        "SELECT t.id FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY t.id",
-        "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY grp ORDER BY grp",
-        "SELECT id FROM t WHERE val = 3 ORDER BY id",
-        "SELECT id FROM t WHERE val >= -5 AND val <= 5 ORDER BY id",
-    ]
-)
+        db = _load_wow(CORPUS_SCHEMA)
+        seen = set()
+        for config in CONFIGS:
+            db.planner.config = config
+            for query in CORPUS:
+                plan = _plan(db, query.wow)
+                verify_plan(plan)
+                seen.update(type(op) for op in iter_operators(plan))
+        missing = sorted(cls.__name__ for cls in set(_concrete_operators()) - seen)
+        assert missing == [], f"no corpus statement plans {missing}"
 
 
 class TestBatchedEquivalence:
-    """rows_batched() is transport, not semantics: identical rows, same order."""
-
-    @given(
-        rows=st.lists(row_strategy, max_size=30),
-        sql=batched_query_strategy,
-        batch_size=st.sampled_from([1, 2, 3, 7, 1024]),
-    )
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_rows_batched_matches_rows(self, rows, sql, batch_size):
-        from repro.sql.parser import parse_statement
-
-        db = _make_db(rows)
-        plan = db.planner.plan_select(parse_statement(sql))
-        reference = list(plan.rows())
-        batches = list(plan.rows_batched(batch_size=batch_size))
-        assert all(batches), f"empty batch emitted for {sql}"
-        assert [row for batch in batches for row in batch] == reference, (
-            f"batched execution (batch_size={batch_size}) diverged for {sql}"
-        )
+    """Batch transport edge cases (row results are checked against sqlite
+    at every batch size in ``tests/test_differential_sqlite.py``)."""
 
     def test_empty_table_yields_no_batches(self):
         from repro.sql.parser import parse_statement

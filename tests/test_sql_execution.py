@@ -311,6 +311,13 @@ class TestDdl:
         plan = company.execute("EXPLAIN SELECT * FROM emp WHERE salary > 100").plan
         assert "IndexRangeScan" in plan
 
+    def test_open_low_index_range_skips_nulls(self, db):
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
+        db.execute("INSERT INTO t VALUES (0, NULL), (1, -7), (2, 5)")
+        db.execute("CREATE INDEX ix_k ON t (k)")
+        assert "IndexRangeScan" in db.execute("EXPLAIN SELECT id FROM t WHERE k < 0").plan
+        assert db.query("SELECT id FROM t WHERE k < 0") == [(1,)]
+
     def test_drop_index(self, company):
         company.execute("CREATE INDEX ix_salary ON emp (salary)")
         company.execute("DROP INDEX ix_salary ON emp")

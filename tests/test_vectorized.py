@@ -4,8 +4,8 @@ compiler (compiled closures must match the interpreter exactly, including
 observability surfaces (EXPLAIN ANALYZE batch/compile annotations and the
 metrics snapshot's executor section).
 
-Cross-cutting equivalence of rows() vs rows_batched() over random data
-lives in test_property_engine.py; this module covers the units.
+Whole-query results over random data are checked against sqlite in
+test_differential_sqlite.py; this module covers the units.
 """
 
 import datetime

@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import baseline as baseline_mod
 from repro.analysis.linter import LintReport, lint_paths, lint_source, main
-from repro.analysis.rules import check_batched_registry, native_batched_operators
 
 ENGINE_PATH = "src/repro/relational/fake.py"
 APP_PATH = "src/repro/forms/fake.py"
@@ -237,38 +236,6 @@ class TestWow007SharedState:
         assert codes(src, APP_PATH) == []
 
 
-class TestWow006Registry:
-    ALGEBRA = textwrap.dedent(
-        """
-        class Operator:
-            def rows_batched(self, n=1):
-                pass
-        class SeqScan(Operator):
-            def rows_batched(self, n=1):
-                pass
-        class NestedLoopJoin(Operator):
-            pass
-        """
-    )
-
-    def test_native_batched_detection(self):
-        assert [n for n, _ in native_batched_operators(self.ALGEBRA)] == ["SeqScan"]
-
-    def test_missing_registry_entry_fires(self):
-        registry = "BATCHED_OPERATOR_REGISTRY = {}\n"
-        found = check_batched_registry("a.py", self.ALGEBRA, "t.py", registry)
-        assert [v.code for v in found] == ["WOW006"]
-        assert found[0].scope == "SeqScan"
-
-    def test_registered_operator_clean(self):
-        registry = "BATCHED_OPERATOR_REGISTRY = {'SeqScan': 'SELECT 1'}\n"
-        assert check_batched_registry("a.py", self.ALGEBRA, "t.py", registry) == []
-
-    def test_absent_registry_reported_once(self):
-        found = check_batched_registry("a.py", self.ALGEBRA, "t.py", None)
-        assert [v.code for v in found] == ["WOW006"]
-
-
 class TestWow008PrefetchHint:
     ALGEBRA_PATH = "src/repro/relational/algebra.py"
 
@@ -430,9 +397,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("WOW001", "WOW002", "WOW003", "WOW004",
-                     "WOW005", "WOW006", "WOW007"):
+        for code in ("WOW001", "WOW002", "WOW003", "WOW004", "WOW005",
+                     "WOW007", "WOW008", "WOW009", "WOW010"):
             assert code in out
+        assert "WOW006" not in out
 
 
 class TestRepoIsClean:
