@@ -9,9 +9,9 @@ Eraser-style dynamic lockset detector.
 * :mod:`report`     — CLI / metrics / JSON rendering, cached per process
 
 The interprocedural core (callgraph + may/must-held propagation) is the
-substrate future discipline rules build on — MVCC version-visibility,
-WAL-scope pairing — which is why it lives in its own package rather than
-inside the per-file wowlint rules.
+substrate future discipline rules build on — MVCC version-visibility, for
+one — which is why it lives in its own package rather than inside the
+per-file wowlint rules.
 """
 
 from __future__ import annotations

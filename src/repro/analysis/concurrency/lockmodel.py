@@ -126,7 +126,10 @@ KNOWN_ATTR_TYPES: Dict[Tuple[str, str], str] = {
     ("Database", "obs"): "Registry",
     ("Database", "catalog"): "Catalog",
     ("Database", "txn"): "TransactionManager",
+    ("Database", "_ctx"): "ExecContext",
     ("Database", "planner"): "Planner",
+    ("ExecContext", "txn"): "TransactionManager",
+    ("TransactionManager", "_wal"): "WriteAheadLog",
     ("SessionServer", "manager"): "SessionManager",
 }
 

@@ -296,11 +296,7 @@ class Catalog:
 
 
 def view_dependencies(view: ViewDefinition) -> List[str]:
-    """Names of tables/views referenced in a view's FROM clause."""
-    names = []
-    query = view.query
-    if query.from_table is not None:
-        names.append(query.from_table.name.lower())
-    for join in query.joins:
-        names.append(join.table.name.lower())
-    return names
+    """Names of tables/views a view reads, its subqueries included."""
+    from repro.sql.sources import statement_sources
+
+    return statement_sources(view.query)

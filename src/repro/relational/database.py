@@ -73,6 +73,7 @@ from repro.relational.types import ColumnType
 from repro.relational.wal import WriteAheadLog
 from repro.sql import ast_nodes as A
 from repro.sql.parser import parse_prepared, parse_script, parse_statement
+from repro.sql.sources import statement_sources
 from repro.views.definition import ViewDefinition
 from repro.views.update import UpdatableViewInfo, analyze_updatability
 
@@ -149,6 +150,20 @@ class PreparedStatement:
     def query(self, args: Sequence[Any] = ()) -> List[Row]:
         """Shorthand: execute and return the rows."""
         return self.execute(args).rows
+
+
+@dataclass
+class ExecContext:
+    """Who a statement runs for: the transaction it writes into, the user
+    privileges are checked against, the session its telemetry names, and
+    its row budget.  The embedded database owns a default one; the session
+    layer passes each session's own to :meth:`Database.execute`."""
+
+    txn: TransactionManager
+    user: str = "dba"
+    session_id: Optional[int] = None
+    #: statement row budget (None = unlimited); see _RowBudget
+    max_rows: Optional[int] = None
 
 
 class _RowBudget:
@@ -243,16 +258,14 @@ class Database:
         from repro.analysis.concurrency import dynlock
 
         self._latch = dynlock.maybe_wrap_latch(threading.RLock())
-        #: statement row budget (None = unlimited); see _RowBudget
-        self.statement_max_rows: Optional[int] = None
         self._row_budget: Optional[_RowBudget] = None
-        #: the session id the current statement runs under (the session
-        #: layer sets it around each statement; telemetry captures it)
-        self._current_session_id: Optional[int] = None
         #: attached repro.session.SessionManager, None in embedded use
         self.session_manager: Optional[Any] = None
-        self.txn = TransactionManager()
-        self.txn.on_undo_failure.append(self._on_undo_failure)
+        #: every live transaction (the default one plus one per session) —
+        #: the checkpoint guard and metrics walk these; closed sessions
+        #: fold their counters into _retired_txn_stats
+        self._txn_managers: List[TransactionManager] = []
+        self._retired_txn_stats: Dict[str, int] = {}
         self.planner_config = planner_config or PlannerConfig()
         if path is None:
             self.catalog = Catalog()
@@ -269,6 +282,10 @@ class Database:
             self._load_catalog()
             self._remove_orphan_heaps()
             self._recover()
+        #: the embedded context, and the one the running statement is bound
+        #: to (see execute); outside a statement they are the same object
+        self._default_ctx = ExecContext(self.new_txn_manager())
+        self._ctx = self._default_ctx
         self.planner = Planner(self.catalog, self.planner_config)
         # ANALYZE statistics persisted in the catalog document are parsed by
         # _load_catalog (which runs before the planner exists) and applied
@@ -305,28 +322,37 @@ class Database:
 
         register_telemetry_tables(self)
         self._apply_storage_limits()
-        if self.wal is not None:
-            self.txn.on_commit.append(self.wal.commit)
-            self.txn.on_rollback.append(self.wal.discard_pending)
-        #: txn managers this database created (the default one plus one
-        #: per live session) — metrics aggregation walks these; closed
-        #: sessions fold their counters into _retired_txn_stats
-        self._txn_managers: List[TransactionManager] = [self.txn]
-        self._retired_txn_stats: Dict[str, int] = {}
         #: statement counters for tests/benchmarks
         self.stats = {"selects": 0, "inserts": 0, "updates": 0, "deletes": 0}
-        #: open savepoints: name -> (txn mark, wal mark)
-        self._savepoints: Dict[str, Tuple[int, int]] = {}
         if not hasattr(self, "auth"):
             from repro.relational.auth import AuthManager
 
             self.auth = AuthManager()
-        #: the user statements execute as; 'dba' is the superuser
-        self.current_user = "dba"
+
+    # -- the embedded context ------------------------------------------------
+
+    @property
+    def txn(self) -> TransactionManager:
+        """The embedded context's transaction."""
+        return self._default_ctx.txn
+
+    @property
+    def current_user(self) -> str:
+        """The user embedded statements execute as; 'dba' is the superuser."""
+        return self._default_ctx.user
 
     def set_user(self, name: str) -> None:
         """Switch the session user (authentication was the OS's job in 1983)."""
-        self.current_user = name.lower()
+        self._default_ctx.user = name.lower()
+
+    @property
+    def statement_max_rows(self) -> Optional[int]:
+        """The embedded context's row budget (None = unlimited)."""
+        return self._default_ctx.max_rows
+
+    @statement_max_rows.setter
+    def statement_max_rows(self, limit: Optional[int]) -> None:
+        self._default_ctx.max_rows = limit
 
     def set_planner_config(self, config: PlannerConfig) -> None:
         """Swap the planner configuration, invalidating every cached plan.
@@ -344,8 +370,12 @@ class Database:
     # SQL entry points
     # ------------------------------------------------------------------
 
-    def execute(self, sql: str) -> Result:
-        """Parse and execute a single SQL statement.
+    def execute(self, sql: str, ctx: Optional[ExecContext] = None) -> Result:
+        """Parse and execute a single SQL statement for *ctx*.
+
+        *ctx* None means the context already bound — a statement nested in
+        another keeps its session — which outside any statement is the
+        embedded default.
 
         Parsed ASTs — and, for cacheable SELECTs, physical plans — are
         memoized in :attr:`plan_cache`, keyed on the normalized statement
@@ -355,43 +385,36 @@ class Database:
         visible).
         """
         with self._latch:
-            return self._execute_locked(sql)
-
-    def _execute_locked(self, sql: str) -> Result:
-        self._begin_row_budget()
-        log = self.statement_log
-        capture = (
-            log.begin(
-                self._pages_read_total(),
-                self.plan_cache.stats["hits"],
-                self.plan_cache.stats["misses"],
-                session=self._current_session_id,
-            )
-            if log.enabled
-            else None
-        )
-        try:
-            entry = self._lookup_statement(sql)
-            statement = entry.statement
-            tags: Dict[str, Any] = {"stmt": type(statement).__name__}
-            if entry.fingerprint is not None:
-                # The statement fingerprint rides on the span so slow-log
-                # entries join against _statements.
-                tags["fp"] = entry.fingerprint
-            if capture is not None:
-                log.describe(
-                    capture, sql, entry.fingerprint, type(statement).__name__
-                )
-            with self.tracer.span("db.execute", tags) as span:
-                result = self._execute_statement(statement, sql, cache_entry=entry)
-                span.tag("rows", result.rowcount)
-        except BaseException as exc:
-            if capture is not None:
-                self._finish_capture(capture, None, error=exc)
-            raise
-        if capture is not None:
-            self._finish_capture(capture, result.rowcount)
-        return result
+            outer = self._ctx
+            self._ctx = ctx or outer
+            capture = None
+            try:
+                self._begin_row_budget()
+                capture = self._begin_capture()
+                entry = self._lookup_statement(sql)
+                statement = entry.statement
+                tags: Dict[str, Any] = {"stmt": type(statement).__name__}
+                if entry.fingerprint is not None:
+                    # The statement fingerprint rides on the span so slow-log
+                    # entries join against _statements.
+                    tags["fp"] = entry.fingerprint
+                if capture is not None:
+                    self.statement_log.describe(
+                        capture, sql, entry.fingerprint, type(statement).__name__
+                    )
+                with self.tracer.span("db.execute", tags) as span:
+                    result = self._execute_statement(statement, sql, cache_entry=entry)
+                    span.tag("rows", result.rowcount)
+            except BaseException as exc:
+                if capture is not None:
+                    self._finish_capture(capture, None, error=exc)
+                raise
+            else:
+                if capture is not None:
+                    self._finish_capture(capture, result.rowcount)
+                return result
+            finally:
+                self._ctx = outer
 
     def execute_script(self, sql: str) -> List[Result]:
         """Execute a ';'-separated script; returns one Result per statement."""
@@ -428,42 +451,30 @@ class Database:
         use (the session layer materialises instead).
         """
         with self._latch:
-            return self._stream_locked(sql)
-
-    def _stream_locked(self, sql: str) -> Tuple[List[str], Iterator[Row]]:
-        self._begin_row_budget()
-        log = self.statement_log
-        capture = (
-            log.begin(
-                self._pages_read_total(),
-                self.plan_cache.stats["hits"],
-                self.plan_cache.stats["misses"],
-                session=self._current_session_id,
-            )
-            if log.enabled
-            else None
-        )
-        try:
-            entry = self._lookup_statement(sql)
-            statement = entry.statement
-            if not isinstance(statement, A.Select):
-                raise SqlError("stream() takes a single SELECT")
-            self._check_select_privileges(statement)
-            plan = self._select_plan(statement, cache_entry=entry)
-        except BaseException as exc:
-            if capture is not None:
-                self._finish_capture(capture, None, error=exc)
-            raise
-        self.stats["selects"] += 1
-        if capture is None:
-            return plan.layout.names(), self._iter_rows(plan)
-        log.describe(capture, sql, entry.fingerprint, "Select")
-        log.note_plan(plan)
-        # The capture detaches here and finishes when the iterator drains —
-        # a long-lived stream must not swallow captures of statements that
-        # execute while it is open.
-        log.detach(capture)
-        return plan.layout.names(), self._stream_rows(plan, capture)
+            self._begin_row_budget()
+            capture = self._begin_capture()
+            try:
+                entry = self._lookup_statement(sql)
+                statement = entry.statement
+                if not isinstance(statement, A.Select):
+                    raise SqlError("stream() takes a single SELECT")
+                self._check_select_privileges(statement)
+                plan = self._select_plan(statement, cache_entry=entry)
+            except BaseException as exc:
+                if capture is not None:
+                    self._finish_capture(capture, None, error=exc)
+                raise
+            self.stats["selects"] += 1
+            if capture is None:
+                return plan.layout.names(), self._iter_rows(plan)
+            log = self.statement_log
+            log.describe(capture, sql, entry.fingerprint, "Select")
+            log.note_plan(plan)
+            # The capture detaches here and finishes when the iterator
+            # drains — a long-lived stream must not swallow captures of
+            # statements that execute while it is open.
+            log.detach(capture)
+            return plan.layout.names(), self._stream_rows(plan, capture)
 
     def _stream_rows(self, plan: Any, capture: Any) -> Iterator[Row]:
         """Drain a streamed plan, finishing its statement capture."""
@@ -523,6 +534,19 @@ class Database:
             # One extra lex per cache miss; hits reuse the stored value.
             entry.fingerprint = fingerprint_sql(sql)
         return entry
+
+    def _begin_capture(self) -> Any:
+        """Open the statement-log capture of a top-level statement, naming
+        the bound context's session (None while the log is off)."""
+        log = self.statement_log
+        if not log.enabled:
+            return None
+        return log.begin(
+            self._pages_read_total(),
+            self.plan_cache.stats["hits"],
+            self.plan_cache.stats["misses"],
+            session=self._ctx.session_id,
+        )
 
     def _pages_read_total(self) -> int:
         """Pages fetched across every table's pager (reads + hits + misses).
@@ -655,47 +679,34 @@ class Database:
     def _execute_prepared(self, prepared: PreparedStatement) -> Result:
         """Run a prepared statement (parameters already bound by the handle)."""
         with self._latch:
-            return self._execute_prepared_locked(prepared)
-
-    def _execute_prepared_locked(self, prepared: PreparedStatement) -> Result:
-        self._begin_row_budget()
-        statement = prepared.statement
-        log = self.statement_log
-        capture = (
-            log.begin(
-                self._pages_read_total(),
-                self.plan_cache.stats["hits"],
-                self.plan_cache.stats["misses"],
-                session=self._current_session_id,
-            )
-            if log.enabled
-            else None
-        )
-        if capture is not None:
-            log.describe(
-                capture,
-                prepared.sql,
-                prepared.fingerprint,
-                type(statement).__name__,
-                params=[param.value for param in prepared._params],
-            )
-        tags: Dict[str, Any] = {"stmt": type(statement).__name__, "prepared": True}
-        if prepared.fingerprint is not None:
-            tags["fp"] = prepared.fingerprint
-        try:
-            with self.tracer.span("db.execute", tags) as span:
-                if isinstance(statement, A.Select):
-                    result = self._run_select(statement, prepared=prepared)
-                else:
-                    result = self._execute_statement(statement, prepared.sql)
-                span.tag("rows", result.rowcount)
-        except BaseException as exc:
+            self._begin_row_budget()
+            statement = prepared.statement
+            capture = self._begin_capture()
             if capture is not None:
-                self._finish_capture(capture, None, error=exc)
-            raise
-        if capture is not None:
-            self._finish_capture(capture, result.rowcount)
-        return result
+                self.statement_log.describe(
+                    capture,
+                    prepared.sql,
+                    prepared.fingerprint,
+                    type(statement).__name__,
+                    params=[param.value for param in prepared._params],
+                )
+            tags: Dict[str, Any] = {"stmt": type(statement).__name__, "prepared": True}
+            if prepared.fingerprint is not None:
+                tags["fp"] = prepared.fingerprint
+            try:
+                with self.tracer.span("db.execute", tags) as span:
+                    if isinstance(statement, A.Select):
+                        result = self._run_select(statement, prepared=prepared)
+                    else:
+                        result = self._execute_statement(statement, prepared.sql)
+                    span.tag("rows", result.rowcount)
+            except BaseException as exc:
+                if capture is not None:
+                    self._finish_capture(capture, None, error=exc)
+                raise
+            if capture is not None:
+                self._finish_capture(capture, result.rowcount)
+            return result
 
     # ------------------------------------------------------------------
     # Programmatic DML (used by the forms runtime)
@@ -734,6 +745,7 @@ class Database:
         with self._latch:
             self._check_dml_privilege(target, "UPDATE")
             predicate = self._parse_predicate(where)
+            self._check_select_privileges(A.Update(target, [], predicate))
             with self._atomic():
                 count = self._update_target(target, dict(changes), predicate)
             self.stats["updates"] += 1
@@ -746,6 +758,7 @@ class Database:
         with self._latch:
             self._check_dml_privilege(target, "DELETE")
             predicate = self._parse_predicate(where)
+            self._check_select_privileges(A.Delete(target, predicate))
             with self._atomic():
                 count = self._delete_target(target, predicate)
             self.stats["deletes"] += 1
@@ -802,49 +815,49 @@ class Database:
         if self.path is None or self.read_only:
             return
         with self._latch:
-            self._checkpoint_locked()
+            if self._ctx.txn.active:
+                # Flushing mid-transaction would write uncommitted rows into
+                # the heaps, breaking the no-steal invariant recovery rests on.
+                raise TransactionError("checkpoint inside an open transaction")
+            if self._uncommitted():
+                # Same invariant, other transactions: the embedded one or a
+                # concurrent session's.
+                raise TransactionError(
+                    "checkpoint while another transaction holds uncommitted "
+                    "changes"
+                )
+            seq = self.wal.last_seq if self.wal is not None else 0
+            try:
+                write_checkpoint_journal(
+                    self._journal_path(), seq, self._pagers, io=self._io
+                )
+                for pager in self._pagers.values():
+                    pager.flush()
+                self._checkpoint_seq = seq
+                self._save_catalog()
+                if self.wal is not None:
+                    self.wal.truncate()
+                clear_checkpoint_journal(self._journal_path(), io=self._io)
+            except OSError as exc:
+                # A mid-checkpoint I/O failure leaves no state a *retry* can
+                # safely build on: the heaps may be half-flushed, so a second
+                # attempt would rewrite the journal with "pre-images" read
+                # from half-flushed heaps — post-images that poison rollback.
+                # Degrade to read-only instead: the journal and WAL already
+                # on disk reopen to the last consistent state, exactly as
+                # after a crash at this point (proven by the exhaustion
+                # harness).
+                self._record_corruption(
+                    "checkpoint",
+                    os.path.basename(self.path) or self.path,
+                    f"checkpoint I/O failed: {exc}",
+                )
+                raise StorageError(f"checkpoint failed: {exc}") from exc
 
-    def _checkpoint_locked(self) -> None:
-        if self.txn.active:
-            # Flushing mid-transaction would write uncommitted rows into
-            # the heaps, breaking the no-steal invariant recovery rests on.
-            raise TransactionError("checkpoint inside an open transaction")
-        if self.session_manager is not None and self.session_manager.any_txn_dirty():
-            # Same invariant, other sessions: a concurrent session with
-            # logged-but-uncommitted changes must not reach the heap files.
-            # (Under 2PL a dirty session holds its table locks to commit,
-            # so DDL-triggered checkpoints never actually race this — the
-            # guard catches direct checkpoint() calls.)
-            raise TransactionError(
-                "checkpoint while a concurrent session transaction holds "
-                "uncommitted changes"
-            )
-        seq = self.wal.last_seq if self.wal is not None else 0
-        try:
-            write_checkpoint_journal(
-                self._journal_path(), seq, self._pagers, io=self._io
-            )
-            for pager in self._pagers.values():
-                pager.flush()
-            self._checkpoint_seq = seq
-            self._save_catalog()
-            if self.wal is not None:
-                self.wal.truncate()
-            clear_checkpoint_journal(self._journal_path(), io=self._io)
-        except OSError as exc:
-            # A mid-checkpoint I/O failure leaves no state a *retry* can
-            # safely build on: the heaps may be half-flushed, so a second
-            # attempt would rewrite the journal with "pre-images" read
-            # from half-flushed heaps — post-images that poison rollback.
-            # Degrade to read-only instead: the journal and WAL already on
-            # disk reopen to the last consistent state, exactly as after a
-            # crash at this point (proven by the exhaustion harness).
-            self._record_corruption(
-                "checkpoint",
-                os.path.basename(self.path) or self.path,
-                f"checkpoint I/O failed: {exc}",
-            )
-            raise StorageError(f"checkpoint failed: {exc}") from exc
+    def _uncommitted(self) -> bool:
+        """True while some live transaction holds undo entries: flushing
+        the heaps then would write rows no one has committed."""
+        return any(txn.mark() > 0 for txn in self._txn_managers)
 
     def close(self) -> None:
         """Checkpoint (if persistent) and release every file handle.
@@ -859,7 +872,6 @@ class Database:
             if self.path is not None:
                 if self.txn.active:
                     self.txn.rollback()
-                    self._savepoints.clear()
                 self.checkpoint()
                 for pager in self._pagers.values():
                     pager.close(flush=not self.read_only)
@@ -892,8 +904,7 @@ class Database:
         if isinstance(statement, A.Select):
             return self._run_select(statement, cache_entry=cache_entry)
         if isinstance(statement, A.Union):
-            for arm in statement.selects:
-                self._check_select_privileges(arm)
+            self._check_select_privileges(statement)
             plan = self.planner.plan_union(statement)
             self._maybe_verify_plan(plan)
             if self.statement_log.current is not None:
@@ -907,14 +918,15 @@ class Database:
             return self._run_grant_revoke(statement)
         if isinstance(statement, A.Analyze):
             return self._run_analyze(statement)
+        txn = self._ctx.txn
         if isinstance(statement, A.Savepoint):
-            self._create_savepoint(statement.name)
+            txn.savepoint(statement.name)
             return Result()
         if isinstance(statement, A.RollbackTo):
-            self._rollback_to_savepoint(statement.name)
+            txn.rollback_to_savepoint(statement.name)
             return Result()
         if isinstance(statement, A.ReleaseSavepoint):
-            self._release_savepoint(statement.name)
+            txn.release_savepoint(statement.name)
             return Result()
         if isinstance(statement, A.Explain):
             if statement.analyze:
@@ -946,50 +958,20 @@ class Database:
         if isinstance(statement, A.DropView):
             return self._run_drop_view(statement)
         if isinstance(statement, A.Begin):
-            self.txn.begin()
-            self._savepoints.clear()
+            txn.begin()
             return Result()
         if isinstance(statement, A.Commit):
-            self.txn.commit()
-            self._savepoints.clear()
+            txn.commit()
             return Result()
         if isinstance(statement, A.Rollback):
-            self.txn.rollback()
-            self._savepoints.clear()
+            txn.rollback()
             return Result()
         raise DatabaseError(f"unhandled statement {type(statement).__name__}")
-
-    # -- savepoints -----------------------------------------------------------
-
-    def _create_savepoint(self, name: str) -> None:
-        if not self.txn.active:
-            raise TransactionError("SAVEPOINT outside a transaction")
-        self._savepoints[name.lower()] = (
-            self.txn.mark(),
-            self.wal.mark() if self.wal is not None else 0,
-        )
-
-    def _rollback_to_savepoint(self, name: str) -> None:
-        marks = self._savepoints.get(name.lower())
-        if marks is None:
-            raise TransactionError(f"no savepoint named {name!r}")
-        txn_mark, wal_mark = marks
-        self.txn.rollback_to(txn_mark)
-        if self.wal is not None:
-            self.wal.discard_pending_from(wal_mark)
-        # Savepoints created after this one are gone.
-        self._savepoints = {
-            n: (t, w) for n, (t, w) in self._savepoints.items() if t <= txn_mark
-        }
-
-    def _release_savepoint(self, name: str) -> None:
-        if self._savepoints.pop(name.lower(), None) is None:
-            raise TransactionError(f"no savepoint named {name!r}")
 
     # -- ALTER TABLE ---------------------------------------------------------
 
     def _run_alter_table(self, statement: A.AlterTable) -> Result:
-        if self.txn.active:
+        if self._ctx.txn.active:
             raise TransactionError("ALTER TABLE is not allowed inside a transaction")
         self._require_ownership(statement.table)
         table = self.catalog.table(statement.table)
@@ -1033,7 +1015,7 @@ class Database:
             with contextlib.suppress(FileNotFoundError):
                 self._io.remove(pager.path)
         if new_schema.name != old.name:
-            owner = self.auth.owner_of(old.name) or self.current_user
+            owner = self.auth.owner_of(old.name) or self._ctx.user
             self.auth.forget_object(old.name)
             self.auth.record_owner(new_schema.name, owner)
         new_table = self.catalog.create_table(new_schema)
@@ -1146,7 +1128,7 @@ class Database:
         self._invalidate_plans()
         # Statistics persist in the catalog document: a reopened database
         # plans with the same numbers it closed with.
-        if self.path is not None and not self.txn.active:
+        if self.path is not None and not self._ctx.txn.active:
             self._save_catalog()
         return Result(rowcount=len(tables))
 
@@ -1160,51 +1142,30 @@ class Database:
             privileges = {Privilege.from_name(p) for p in statement.privileges}
         if isinstance(statement, A.Grant):
             self.auth.grant(
-                self.current_user, privileges, statement.object_name, statement.grantee
+                self._ctx.user, privileges, statement.object_name, statement.grantee
             )
         else:
             self.auth.revoke(
-                self.current_user, privileges, statement.object_name, statement.grantee
+                self._ctx.user, privileges, statement.object_name, statement.grantee
             )
-        if self.path is not None and not self.txn.active:
+        if self.path is not None and not self._ctx.txn.active:
             self._save_catalog()
         return Result()
 
     # -- privilege checks ---------------------------------------------------
 
-    def _referenced_sources(self, select: A.Select) -> List[str]:
-        """Object names a SELECT reads: FROM/JOIN entries plus subqueries.
+    def _check_select_privileges(self, statement: A.Statement) -> None:
+        """SELECT on every object *statement* reads, subqueries included.
 
         Access through a view requires privileges on the view only (the
         view executes with its owner's rights) — so view expansion does NOT
         contribute its underlying tables here.
         """
-        from repro.relational.catalog import SYSTEM_TABLE_NAMES
-        from repro.sql.parser import SubqueryExpr
-
-        names: List[str] = []
-        if select.from_table is not None:
-            names.append(select.from_table.name.lower())
-        names.extend(join.table.name.lower() for join in select.joins)
-        exprs = [select.where, select.having]
-        exprs.extend(join.condition for join in select.joins)
-        exprs.extend(item.expr for item in select.order_by)
-        for item in select.items:
-            if item.expr is not None and isinstance(item.expr, E.Expr):
-                exprs.append(item.expr)
-        for expr in exprs:
-            if expr is None or not isinstance(expr, E.Expr):
-                continue
-            for node in expr.walk():
-                if isinstance(node, SubqueryExpr):
-                    names.extend(self._referenced_sources(node.select))
-        return [n for n in names if n not in SYSTEM_TABLE_NAMES]
-
-    def _check_select_privileges(self, select: A.Select) -> None:
         from repro.relational.auth import Privilege
 
-        for name in self._referenced_sources(select):
-            self.auth.check(self.current_user, Privilege.SELECT, name)
+        for name in statement_sources(statement):
+            if name not in SYSTEM_TABLE_NAMES:
+                self.auth.check(self._ctx.user, Privilege.SELECT, name)
 
     def _check_dml_privilege(self, target: str, privilege_name: str) -> None:
         from repro.relational.auth import Privilege
@@ -1213,7 +1174,7 @@ class Database:
         # the read-only gate lives here too.
         self._require_writable()
         self.auth.check(
-            self.current_user, Privilege(privilege_name), target.lower()
+            self._ctx.user, Privilege(privilege_name), target.lower()
         )
 
     def _run_explain_analyze(self, select: A.Select) -> Result:
@@ -1273,7 +1234,7 @@ class Database:
         self._replanned_fps.add(plan_fp)
         from repro.relational.stats import analyze_table
 
-        for name in dict.fromkeys(self._referenced_sources(select)):
+        for name in statement_sources(select):
             if self.catalog.has_table(name):
                 self.planner.stats[name] = analyze_table(self.catalog.table(name))
         # The stale aggregates must not re-trigger on the next sample.
@@ -1282,7 +1243,7 @@ class Database:
             lambda plan: plan_fingerprint(plan) == plan_fp
         )
         self.planner.metrics["replans"] += 1
-        if self.path is not None and not self.txn.active:
+        if self.path is not None and not self._ctx.txn.active:
             self._save_catalog()
 
     # ------------------------------------------------------------------
@@ -1384,7 +1345,7 @@ class Database:
     def _begin_row_budget(self) -> None:
         """Arm the per-statement row budget (top-level statements only —
         nested plan executions inside one statement share its budget)."""
-        limit = self.statement_max_rows
+        limit = self._ctx.max_rows
         self._row_budget = _RowBudget(limit) if limit else None
 
     def _collect_rows(self, plan: Operator) -> List[Row]:
@@ -1464,13 +1425,19 @@ class Database:
 
     def _run_insert(self, statement: A.Insert) -> Result:
         self._check_dml_privilege(statement.table, "INSERT")
+        self._check_select_privileges(statement)
         schema = self.catalog.schema_of(statement.table)
         if statement.select is not None:
             return self._run_insert_select(statement, schema)
+        # Subqueries see the table as it was before the first row lands.
+        resolve = self.planner._resolve_subqueries
+        value_rows = [
+            [_const_value(resolve(expr)) for expr in value_row]
+            for value_row in statement.rows
+        ]
         count = 0
         with self._atomic():
-            for value_row in statement.rows:
-                values = [_const_value(expr) for expr in value_row]
+            for values in value_rows:
                 if statement.columns is not None:
                     if len(values) != len(statement.columns):
                         raise SqlError(
@@ -1492,7 +1459,6 @@ class Database:
 
     def _run_insert_select(self, statement: A.Insert, schema) -> Result:
         """INSERT INTO t [(cols)] SELECT ... — rows map positionally."""
-        self._check_select_privileges(statement.select)
         plan = self.planner.plan_select(statement.select)
         target_columns = statement.columns or list(schema.column_names)
         if len(plan.layout) != len(target_columns):
@@ -1514,6 +1480,7 @@ class Database:
 
     def _run_update(self, statement: A.Update) -> Result:
         self._check_dml_privilege(statement.table, "UPDATE")
+        self._check_select_privileges(statement)
         changes = {}
         for column, expr in statement.assignments:
             expr = self.planner._resolve_subqueries(expr)
@@ -1525,6 +1492,7 @@ class Database:
 
     def _run_delete(self, statement: A.Delete) -> Result:
         self._check_dml_privilege(statement.table, "DELETE")
+        self._check_select_privileges(statement)
         with self._atomic():
             count = self._delete_target(statement.table, statement.where)
         self.stats["deletes"] += 1
@@ -1549,7 +1517,7 @@ class Database:
             # Validate the expression binds against this table's columns.
             E.bind(check, E.RowLayout.for_table(schema.name, schema))
         self.catalog.create_table(schema)
-        self.auth.record_owner(schema.name, self.current_user)
+        self.auth.record_owner(schema.name, self._ctx.user)
         self._ddl_checkpoint()
         return Result()
 
@@ -1588,9 +1556,9 @@ class Database:
     def _require_ownership(self, obj: str) -> None:
         from repro.relational.auth import AuthError
 
-        if not self.auth.is_owner(self.current_user, obj):
+        if not self.auth.is_owner(self._ctx.user, obj):
             raise AuthError(
-                f"user {self.current_user!r} does not own {obj!r}"
+                f"user {self._ctx.user!r} does not own {obj!r}"
             )
 
     def _run_create_index(self, statement: A.CreateIndex) -> Result:
@@ -1637,7 +1605,7 @@ class Database:
             # WITH CHECK OPTION only makes sense on an updatable view.
             analyze_updatability(view, self.catalog)
         self.catalog.create_view(view)
-        self.auth.record_owner(view.name, self.current_user)
+        self.auth.record_owner(view.name, self._ctx.user)
         self._ddl_checkpoint()
         return Result()
 
@@ -1658,13 +1626,19 @@ class Database:
         The invalidation is unconditional — every DDL path (CREATE/DROP
         TABLE/VIEW/INDEX, ALTER) funnels through here, and a generation
         bump is required even when the durability step is skipped (memory
-        databases, DDL inside a transaction).  Catalog mutations also bump
-        ``catalog.generation``, which :meth:`_plan_generation` folds in;
-        this explicit bump covers index DDL, which changes no catalog
-        entry but changes what the planner would choose.
+        databases, DDL inside a transaction, or while another transaction
+        holds uncommitted rows that a flush would make durable — no-steal).
+        Catalog mutations also bump ``catalog.generation``, which
+        :meth:`_plan_generation` folds in; this explicit bump covers index
+        DDL, which changes no catalog entry but changes what the planner
+        would choose.
         """
         self._invalidate_plans()
-        if self.path is not None and not self.txn.active:
+        if (
+            self.path is not None
+            and not self._ctx.txn.active
+            and not self._uncommitted()
+        ):
             self.checkpoint()
 
     # ------------------------------------------------------------------
@@ -1849,18 +1823,16 @@ class Database:
         self._check_table_checks(table, row)
         self._check_fk_child_side(table, row)
         rid = table.insert(row)
-        self.txn.log_insert(table, rid)
-        if self.wal is not None:
-            self.wal.log_insert(table.name, row)
+        redo = self.wal.log_insert(table.name, row) if self.wal is not None else None
+        self._ctx.txn.log_insert(table, rid, redo=redo)
         return rid
 
     def _apply_delete(self, table: Table, rid: RowId) -> None:
         row = table.read(rid)
         self._check_fk_parent_side(table, row, ignore_rid=rid)
         table.delete(rid)
-        self.txn.log_delete(table, row, rid=rid)
-        if self.wal is not None:
-            self.wal.log_delete(table.name, row)
+        redo = self.wal.log_delete(table.name, row) if self.wal is not None else None
+        self._ctx.txn.log_delete(table, row, rid=rid, redo=redo)
 
     def _apply_update(self, table: Table, rid: RowId, new_row: Row) -> RowId:
         new_row = table.schema.validate_row(new_row)
@@ -1871,11 +1843,15 @@ class Database:
         self._check_fk_child_side(table, new_row)
         self._check_fk_parent_key_change(table, old_row, new_row, rid)
         new_rid, _ = table.update(rid, new_row)
-        self.txn.log_update(table, new_rid, old_row)
-        if new_rid != rid:
-            self.txn.note_rid_moved(table, rid, new_rid)
-        if self.wal is not None:
+        redo = (
             self.wal.log_update(table.name, old_row, new_row)
+            if self.wal is not None
+            else None
+        )
+        txn = self._ctx.txn
+        txn.log_update(table, new_rid, old_row, redo=redo)
+        if new_rid != rid:
+            txn.note_rid_moved(table, rid, new_rid)
         return new_rid
 
     # -- foreign keys ------------------------------------------------------
@@ -1969,25 +1945,23 @@ class Database:
     @contextlib.contextmanager
     def _atomic(self) -> Iterator[None]:
         """Make the enclosed DML all-or-nothing."""
-        if self.txn.active:
-            txn_mark = self.txn.mark()
-            wal_mark = self.wal.mark() if self.wal is not None else 0
+        txn = self._ctx.txn
+        if txn.active:
+            mark = txn.mark()
             try:
                 yield
             except Exception:
-                self.txn.rollback_to(txn_mark)
-                if self.wal is not None:
-                    self.wal.discard_pending_from(wal_mark)
+                txn.rollback_to(mark)
                 raise
         else:
-            self.txn.begin()
+            txn.begin()
             try:
                 yield
             except Exception:
-                self.txn.rollback()
+                txn.rollback()
                 raise
             else:
-                self.txn.commit()
+                txn.commit()
 
     # ------------------------------------------------------------------
     # Persistence
@@ -2012,17 +1986,15 @@ class Database:
     # -- corruption handling / read-only degradation ------------------------
 
     def new_txn_manager(self) -> TransactionManager:
-        """A fresh TransactionManager wired exactly like the default one.
+        """A fresh TransactionManager over this database's WAL.
 
-        The session layer creates one per session so concurrent
-        transactions keep separate undo logs; the WAL hooks and the
-        undo-failure degradation hook come pre-attached, and the
-        manager's counters feed ``metrics_snapshot()["txn"]``.
+        The embedded context's transaction comes from here, and the
+        session layer creates one per session so concurrent transactions
+        keep separate undo/redo logs.  The undo-failure degradation hook
+        comes pre-attached, and the manager's counters feed
+        ``metrics_snapshot()["txn"]``.
         """
-        txn = TransactionManager()
-        if self.wal is not None:
-            txn.on_commit.append(self.wal.commit)
-            txn.on_rollback.append(self.wal.discard_pending)
+        txn = TransactionManager(self.wal)
         txn.on_undo_failure.append(self._on_undo_failure)
         self._txn_managers.append(txn)
         return txn

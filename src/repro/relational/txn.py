@@ -1,8 +1,12 @@
-"""Transactions: an undo log with rollback, plus savepoint-free semantics.
+"""Transactions: everything a transaction has not committed yet, in one log.
 
 The engine runs in autocommit mode unless ``BEGIN`` opens an explicit
-transaction.  While a transaction is open, every row-level change appends an
-undo entry; ``ROLLBACK`` replays them in reverse.
+transaction.  While a transaction is open, every row-level change appends
+one :class:`UndoEntry`; ``ROLLBACK`` replays them in reverse.  On an
+on-disk database the entry also carries the change's WAL line, so the
+undo log and the redo group are one list: a savepoint or a statement mark
+is one position in it, ``commit()`` hands the lines to the WAL as one
+group, and a rollback drops them with the entries.
 
 RowIds are not stable across updates that move a record between pages, so
 rollback maintains a translation map: whenever undoing an entry moves a row,
@@ -17,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import TransactionError
 from repro.relational.heap import RowId
 from repro.relational.table import Table
+from repro.relational.wal import WriteAheadLog
 
 
 @dataclass
@@ -24,24 +29,27 @@ class UndoEntry:
     """One logged row-level change.
 
     kind is 'insert' (undo = delete rid), 'delete' (undo = re-insert row),
-    or 'update' (undo = write old_row back at rid).
+    or 'update' (undo = write old_row back at rid).  *redo* is the WAL line
+    that replays the change (None on a memory database).
     """
 
     kind: str
     table: Table
     rid: Optional[RowId] = None
     row: Optional[Tuple[Any, ...]] = None
+    redo: Optional[str] = None
 
 
 class TransactionManager:
-    """Tracks the open transaction (if any) and performs rollback."""
+    """One transaction at a time: its undo/redo log, savepoints, rollback."""
 
-    def __init__(self) -> None:
+    def __init__(self, wal: Optional[WriteAheadLog] = None) -> None:
+        #: where commit() writes the redo lines (None: memory database)
+        self._wal = wal
         self._entries: Optional[List[UndoEntry]] = None
+        #: open savepoints: name -> undo-log position
+        self.savepoints: Dict[str, int] = {}
         self._txn_counter = 0
-        #: callbacks fired after COMMIT/ROLLBACK, e.g. WAL hooks
-        self.on_commit: List[Callable[[], None]] = []
-        self.on_rollback: List[Callable[[], None]] = []
         #: callbacks fired when an undo walk fails partway — the database
         #: registers one that degrades to read-only, because a half-rolled-
         #: back transaction leaves the heaps in a state no retry can fix
@@ -63,36 +71,40 @@ class TransactionManager:
         if self.active:
             raise TransactionError("a transaction is already open")
         self._entries = []
+        self.savepoints.clear()
         self._txn_counter += 1
         self.stats["begins"] += 1
         return self._txn_counter
 
     def commit(self) -> None:
-        """Close the open transaction, keeping its effects."""
+        """Close the open transaction, keeping its effects, and write its
+        redo lines to the WAL as one group."""
         if not self.active:
             raise TransactionError("COMMIT without BEGIN")
+        entries = self._entries
         self._entries = None
+        self.savepoints.clear()
         self.stats["commits"] += 1
-        for hook in self.on_commit:
-            hook()
+        if self._wal is not None:
+            self._wal.commit([e.redo for e in entries if e.redo is not None])
 
     def rollback(self) -> None:
         """Undo every change of the open transaction, newest first.
 
-        If the undo walk itself fails partway (a heap write error while
-        re-inserting a deleted row, say), the transaction is left
+        Its redo lines go with the entries, so nothing of it reaches the
+        WAL.  If the undo walk itself fails partway (a heap write error
+        while re-inserting a deleted row, say), the transaction is left
         half-rolled-back: some entries were undone, the rest cannot be.
         That state is unrecoverable in place, so the failure is *recorded*
         — ``undo_failures`` counts it and every ``on_undo_failure`` hook
         fires (the database's hook degrades to read-only) — and a
-        :class:`TransactionError` chains the original cause.  The rollback
-        hooks still run so pending WAL records never leak into a later
-        commit.
+        :class:`TransactionError` chains the original cause.
         """
         if not self.active:
             raise TransactionError("ROLLBACK without BEGIN")
         entries = self._entries
         self._entries = None  # log nothing while undoing
+        self.savepoints.clear()
         self.stats["rollbacks"] += 1
         try:
             self._undo(entries)
@@ -103,9 +115,6 @@ class TransactionManager:
                 f"rollback failed partway; remaining undo entries are "
                 f"unrecoverable: {exc}"
             ) from exc
-        finally:
-            for hook in self.on_rollback:
-                hook()
 
     def mark(self) -> int:
         """Current undo-log position (for statement-level atomicity)."""
@@ -134,6 +143,27 @@ class TransactionManager:
             ) from exc
         finally:
             self._entries = keep
+
+    # -- savepoints --------------------------------------------------------
+
+    def savepoint(self, name: str) -> None:
+        if not self.active:
+            raise TransactionError("SAVEPOINT outside a transaction")
+        self.savepoints[name.lower()] = self.mark()
+
+    def rollback_to_savepoint(self, name: str) -> None:
+        mark = self.savepoints.get(name.lower())
+        if mark is None:
+            raise TransactionError(f"no savepoint named {name!r}")
+        self.rollback_to(mark)
+        # Savepoints created after this one are gone.
+        self.savepoints = {n: m for n, m in self.savepoints.items() if m <= mark}
+
+    def release_savepoint(self, name: str) -> None:
+        if self.savepoints.pop(name.lower(), None) is None:
+            raise TransactionError(f"no savepoint named {name!r}")
+
+    # -- undo ----------------------------------------------------------------
 
     def _undo_failed(self, exc: BaseException) -> None:
         """Record a partial undo: count it and fire the degradation hooks."""
@@ -166,21 +196,36 @@ class TransactionManager:
                 raise TransactionError(f"unknown undo kind {entry.kind!r}")
 
     # -- logging -----------------------------------------------------------
+    #
+    # Each change is logged once, undo and redo together, so every mark
+    # covers both.
 
-    def log_insert(self, table: Table, rid: RowId) -> None:
+    def log_insert(self, table: Table, rid: RowId, redo: Optional[str] = None) -> None:
         if self._entries is not None:
-            self._entries.append(UndoEntry("insert", table, rid=rid))
+            self._entries.append(UndoEntry("insert", table, rid=rid, redo=redo))
 
     def log_delete(
-        self, table: Table, row: Tuple[Any, ...], rid: Optional[RowId] = None
+        self,
+        table: Table,
+        row: Tuple[Any, ...],
+        rid: Optional[RowId] = None,
+        redo: Optional[str] = None,
     ) -> None:
         if self._entries is not None:
-            self._entries.append(UndoEntry("delete", table, rid=rid, row=row))
+            self._entries.append(
+                UndoEntry("delete", table, rid=rid, row=row, redo=redo)
+            )
 
-    def log_update(self, table: Table, new_rid: RowId, old_row: Tuple[Any, ...]) -> None:
+    def log_update(
+        self,
+        table: Table,
+        new_rid: RowId,
+        old_row: Tuple[Any, ...],
+        redo: Optional[str] = None,
+    ) -> None:
         if self._entries is not None:
             self._entries.append(
-                UndoEntry("update", table, rid=new_rid, row=old_row)
+                UndoEntry("update", table, rid=new_rid, row=old_row, redo=redo)
             )
 
     def note_rid_moved(self, table: Table, old_rid: RowId, new_rid: RowId) -> None:

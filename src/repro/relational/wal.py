@@ -124,14 +124,6 @@ class WriteAheadLog:
         self._fd: Optional[int] = self._io.open(
             path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
         )
-        #: pending (uncommitted) records, partitioned by **scope** so the
-        #: open transactions of concurrent sessions never share a group:
-        #: the session layer switches scopes with :meth:`use_scope` before
-        #: each statement, and ``commit()`` flushes only the current
-        #: scope's records.  The embedded single-session database lives its
-        #: whole life in the default scope ``0``.
-        self._pending_scopes: Dict[Any, List[str]] = {0: []}
-        self._scope: Any = 0
         #: the sequence number the next committed group will carry
         self.next_seq = 1
         #: statistics for benchmarks/tests
@@ -153,63 +145,39 @@ class WriteAheadLog:
         """The sequence number of the newest committed group (0 if none)."""
         return self.next_seq - 1
 
-    # -- scopes -------------------------------------------------------------
+    # -- record encoders ----------------------------------------------------
+    #
+    # The log owns its record format, but not the uncommitted records: a
+    # transaction keeps each encoded line beside the undo entry of the same
+    # change and hands the whole group to commit().
 
-    @property
-    def _pending(self) -> List[str]:
-        """The current scope's uncommitted records."""
-        return self._pending_scopes[self._scope]
+    @staticmethod
+    def log_insert(table: str, row: Sequence[Any]) -> str:
+        return json.dumps({"t": "insert", "tab": table, "row": _encode_row(row)})
 
-    def use_scope(self, token: Any) -> None:
-        """Switch pending-record accumulation to *token*'s private list.
+    @staticmethod
+    def log_delete(table: str, row: Sequence[Any]) -> str:
+        return json.dumps({"t": "delete", "tab": table, "row": _encode_row(row)})
 
-        Records logged, committed, marked, and discarded from now on all
-        target this scope only — another session's open transaction keeps
-        its pending records untouched in its own scope.
-        """
-        self._pending_scopes.setdefault(token, [])
-        self._scope = token
-
-    def drop_scope(self, token: Any) -> None:
-        """Forget a closed session's scope (its pending records discard)."""
-        if token == 0:
-            return  # the default scope is permanent
-        self._pending_scopes.pop(token, None)
-        if self._scope == token:
-            self._scope = 0
-
-    # -- logging ------------------------------------------------------------
-
-    def log_insert(self, table: str, row: Sequence[Any]) -> None:
-        self._pending.append(
-            json.dumps({"t": "insert", "tab": table, "row": _encode_row(row)})
+    @staticmethod
+    def log_update(table: str, old: Sequence[Any], new: Sequence[Any]) -> str:
+        return json.dumps(
+            {
+                "t": "update",
+                "tab": table,
+                "old": _encode_row(old),
+                "new": _encode_row(new),
+            }
         )
 
-    def log_delete(self, table: str, row: Sequence[Any]) -> None:
-        self._pending.append(
-            json.dumps({"t": "delete", "tab": table, "row": _encode_row(row)})
-        )
-
-    def log_update(self, table: str, old: Sequence[Any], new: Sequence[Any]) -> None:
-        self._pending.append(
-            json.dumps(
-                {
-                    "t": "update",
-                    "tab": table,
-                    "old": _encode_row(old),
-                    "new": _encode_row(new),
-                }
-            )
-        )
-
-    def commit(self) -> None:
-        """Make the pending group durable (ops + commit marker + fsync)."""
+    def commit(self, records: Sequence[str]) -> None:
+        """Make one group durable: *records* + commit marker + fsync."""
         if self._fd is None:
             raise StorageError("WAL is closed")
-        if not self._pending:
+        if not records:
             return
         seq = self.next_seq
-        lines = [_frame(seq, line) for line in self._pending]
+        lines = [_frame(seq, line) for line in records]
         lines.append(_frame(seq, json.dumps({"t": "commit"})))
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         start = os.lseek(self._fd, 0, os.SEEK_END)
@@ -226,7 +194,6 @@ class WriteAheadLog:
             # the failure atomic: truncate back to the pre-append offset so
             # neither recovery nor a later append can observe a group the
             # caller was told did not commit.
-            self._pending.clear()
             try:
                 self._io.ftruncate(self._fd, start)
                 os.lseek(self._fd, 0, os.SEEK_END)
@@ -242,25 +209,8 @@ class WriteAheadLog:
             raise StorageError(f"WAL append failed: {exc}") from exc
         self.next_seq = seq + 1
         self.stats["commits"] += 1
-        self.stats["ops"] += len(self._pending)
+        self.stats["ops"] += len(records)
         self.stats["bytes"] += len(payload)
-        self._pending.clear()
-
-    def discard_pending(self) -> None:
-        """Drop the uncommitted group (statement failed / ROLLBACK)."""
-        self._pending.clear()
-
-    def mark(self) -> int:
-        """Current pending-op position (for statement-level atomicity)."""
-        return len(self._pending)
-
-    def discard_pending_from(self, mark: int) -> None:
-        """Drop pending ops logged after *mark* (failed statement in a txn)."""
-        del self._pending[mark:]
-
-    @property
-    def pending_ops(self) -> int:
-        return len(self._pending)
 
     # -- recovery ------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The session manager: per-connection transaction state, one engine.
 
 A :class:`Session` is what the paper calls a *user* at a terminal: its own
-open transaction (undo log), savepoints, user identity, and statement
-budget — all multiplexed over one shared
-:class:`~repro.relational.database.Database`.
+:class:`~repro.relational.database.ExecContext` — open transaction (undo
+and redo log, savepoints), user identity, and statement budget — handed to
+one shared :class:`~repro.relational.database.Database` with each
+statement.
 
 Concurrency is two-level:
 
@@ -32,12 +33,11 @@ the client knows the rest of the transaction to replay.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     BusyError,
@@ -48,6 +48,7 @@ from repro.errors import (
     WowError,
 )
 from repro.relational.catalog import SYSTEM_TABLE_NAMES
+from repro.relational.database import ExecContext
 from repro.session.locks import (
     CATALOG_RESOURCE,
     EXCLUSIVE,
@@ -55,7 +56,8 @@ from repro.session.locks import (
     LockManager,
 )
 from repro.sql import ast_nodes as A
-from repro.sql.parser import SubqueryExpr, parse_statement
+from repro.sql.parser import parse_statement
+from repro.sql.sources import statement_sources
 
 
 @dataclass
@@ -92,12 +94,13 @@ class Session:
         self.id = session_id
         self.user = user
         #: this session's TransactionManager (created by
-        #: Database.new_txn_manager, WAL + degradation hooks pre-wired)
+        #: Database.new_txn_manager, WAL + degradation hook pre-wired)
         self.txn = txn
-        #: open savepoints, swapped into Database._savepoints per statement
-        self.savepoints: Dict[str, Tuple[int, int]] = {}
+        #: what every statement of this session runs under
+        self.ctx = ExecContext(
+            txn, user, session_id, manager.config.statement_max_rows
+        )
         self.closed = False
-        self.statement_max_rows = manager.config.statement_max_rows
         self.stats: Dict[str, int] = {
             "statements": 0, "retries": 0, "aborts": 0
         }
@@ -217,8 +220,6 @@ class SessionManager:
         finally:
             self.locks.release_all(session.id)
             with self.db._latch:
-                if self.db.wal is not None:
-                    self.db.wal.drop_scope(session.id)
                 self.db.retire_txn_manager(session.txn)
             with self._mutex:
                 self._sessions.pop(session.id, None)
@@ -230,13 +231,6 @@ class SessionManager:
             sessions = list(self._sessions.values())
         for session in sessions:
             self.close_session(session)
-
-    def any_txn_dirty(self) -> bool:
-        """True when some session transaction holds uncommitted changes —
-        the checkpoint guard (flushing then would break no-steal)."""
-        with self._mutex:
-            sessions = list(self._sessions.values())
-        return any(s.txn.active and s.txn.mark() > 0 for s in sessions)
 
     # -- the statement pipeline --------------------------------------------
 
@@ -289,64 +283,20 @@ class SessionManager:
             raise
 
     def _run_statement(self, session: Session, sql: str) -> Any:
-        with self._session_context(session):
-            try:
-                return self.db._execute_locked(sql)
-            except StatementTimeoutError:
-                self.stats["statement_timeouts"] += 1
-                raise
+        try:
+            return self.db.execute(sql, session.ctx)
+        except StatementTimeoutError:
+            self.stats["statement_timeouts"] += 1
+            raise
 
     def _abort(self, session: Session) -> None:
         """Roll back the session's transaction and release its locks."""
         self.stats["aborts"] += 1
         session.stats["aborts"] += 1
         with self.db._latch:
-            with self._session_context(session):
-                if session.txn.active:
-                    session.txn.rollback()
-                session.savepoints.clear()
+            if session.txn.active:
+                session.txn.rollback()
         self.locks.release_all(session.id)
-
-    @contextlib.contextmanager
-    def _session_context(self, session: Session) -> Iterator[None]:
-        """Swap this session's state into the engine (latch must be held).
-
-        The database's txn manager, savepoints, user, session id, row
-        budget, and WAL scope all become the session's for the duration —
-        so every existing engine path (undo logging, WAL grouping,
-        telemetry capture) runs against the right transaction without
-        knowing sessions exist.
-        """
-        db = self.db
-        prev = (
-            db.txn,
-            db._savepoints,
-            db.current_user,
-            db._current_session_id,
-            db.statement_max_rows,
-        )
-        db.txn = session.txn
-        db._savepoints = session.savepoints
-        db.current_user = session.user
-        db._current_session_id = session.id
-        db.statement_max_rows = session.statement_max_rows
-        if db.wal is not None:
-            db.wal.use_scope(session.id)
-        try:
-            yield
-        finally:
-            # ROLLBACK TO SAVEPOINT rebuilds db._savepoints, so capture the
-            # (possibly new) dict back before restoring the engine's own.
-            session.savepoints = db._savepoints
-            (
-                db.txn,
-                db._savepoints,
-                db.current_user,
-                db._current_session_id,
-                db.statement_max_rows,
-            ) = prev
-            if db.wal is not None:
-                db.wal.use_scope(0)
 
     # -- lockset derivation ------------------------------------------------
 
@@ -390,17 +340,15 @@ class SessionManager:
                 return  # rebuilt snapshots; never lockable resources
             if self.db.catalog.has_view(name):
                 # Lock the base tables a view reads/writes, recursively.
-                for base in self._select_sources(
-                    self.db.catalog.view(name).query
-                ):
+                for base in statement_sources(self.db.catalog.view(name).query):
                     want(base, mode)
                 return
             if wanted.get(name) != EXCLUSIVE:
                 wanted[name] = mode
 
-        def want_sources(select: A.Select, mode: str = SHARED) -> None:
-            for name in self._select_sources(select):
-                want(name, mode)
+        def want_sources(read: A.Statement) -> None:
+            for name in statement_sources(read):
+                want(name, SHARED)
 
         if isinstance(
             statement,
@@ -408,22 +356,14 @@ class SessionManager:
              A.ReleaseSavepoint),
         ):
             return ()  # pure transaction control: no resources touched
-        if isinstance(statement, A.Select):
+        if isinstance(statement, (A.Select, A.Union)):
             want_sources(statement)
-        elif isinstance(statement, A.Union):
-            for arm in statement.selects:
-                want_sources(arm)
         elif isinstance(statement, A.Explain):
             if statement.analyze:
                 want_sources(statement.query)
-        elif isinstance(statement, A.Insert):
+        elif isinstance(statement, (A.Insert, A.Update, A.Delete)):
             want(statement.table, EXCLUSIVE)
-            if statement.select is not None:
-                want_sources(statement.select)
-        elif isinstance(statement, (A.Update, A.Delete)):
-            want(statement.table, EXCLUSIVE)
-            for name in self._expr_sources(statement.where):
-                want(name, SHARED)
+            want_sources(statement)  # subqueries in VALUES, SET and WHERE
         else:
             # DDL / ANALYZE / GRANT / anything else schema-shaped: the
             # exclusive catalog lock serialises it against every open
@@ -448,34 +388,6 @@ class SessionManager:
         return tuple(sorted(
             wanted.items(), key=lambda kv: (kv[0] != CATALOG_RESOURCE, kv[0])
         ))
-
-    def _select_sources(self, select: A.Select) -> List[str]:
-        """Every table/view a SELECT reads (joins + subqueries), lowered."""
-        names: List[str] = []
-        if select.from_table is not None:
-            names.append(select.from_table.name.lower())
-        names.extend(join.table.name.lower() for join in select.joins)
-        exprs: List[Any] = [select.where, select.having]
-        exprs.extend(join.condition for join in select.joins)
-        exprs.extend(item.expr for item in select.order_by)
-        for item in select.items:
-            if item.expr is not None:
-                exprs.append(item.expr)
-        for expr in exprs:
-            names.extend(self._expr_sources(expr))
-        return names
-
-    def _expr_sources(self, expr: Any) -> List[str]:
-        """Sources referenced by subqueries inside one expression."""
-        from repro.relational import expr as E
-
-        if expr is None or not isinstance(expr, E.Expr):
-            return []
-        names: List[str] = []
-        for node in expr.walk():
-            if isinstance(node, SubqueryExpr):
-                names.extend(self._select_sources(node.select))
-        return names
 
     # -- telemetry ---------------------------------------------------------
 

@@ -98,6 +98,27 @@ class TestSqlLevelAuth:
                 "SELECT id FROM staff WHERE id IN (SELECT id FROM payroll)"
             )
 
+    def test_dml_subquery_sources_checked(self, db):
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.execute("CREATE TABLE secret (y INT)")
+        db.execute("INSERT INTO t VALUES (1, 0)")
+        db.execute("INSERT INTO secret VALUES (42)")
+        db.execute("GRANT SELECT, INSERT, UPDATE, DELETE ON t TO clerk")
+        db.set_user("clerk")
+        for sql in (
+            "UPDATE t SET x = (SELECT MAX(y) FROM secret)",
+            "UPDATE t SET x = 1 WHERE x IN (SELECT y FROM secret)",
+            "DELETE FROM t WHERE x IN (SELECT y FROM secret)",
+            "INSERT INTO t VALUES (2, (SELECT MAX(y) FROM secret))",
+        ):
+            with pytest.raises(AuthError):
+                db.execute(sql)
+        with pytest.raises(AuthError):
+            db.update("t", {"x": 1}, "x IN (SELECT y FROM secret)")
+        with pytest.raises(AuthError):
+            db.delete("t", "x IN (SELECT y FROM secret)")
+        assert db.query("SELECT id, x FROM t") == [(1, 0)]
+
     def test_dml_privileges_separate(self, secured):
         secured.execute("GRANT SELECT, UPDATE ON staff TO clerk")
         secured.set_user("clerk")

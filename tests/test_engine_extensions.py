@@ -126,6 +126,36 @@ class TestSubqueries:
         )
         assert rows == [(1,), (3,)]
 
+    def test_a_view_depends_on_its_subquery_sources(self, two_tables):
+        two_tables.execute(
+            "CREATE VIEW v AS SELECT x FROM a WHERE x IN (SELECT x FROM b)"
+        )
+        with pytest.raises(CatalogError, match="views depend on it"):
+            two_tables.execute("DROP TABLE b")
+        assert two_tables.query("SELECT * FROM v ORDER BY x") == [(1,), (3,)]
+
+    def test_insert_values_with_subqueries_matches_sqlite(self, two_tables):
+        import sqlite3  # a test-time referee only
+
+        referee = sqlite3.connect(":memory:")
+        referee.executescript(
+            "CREATE TABLE a (x INT PRIMARY KEY, y TEXT);"
+            "CREATE TABLE b (x INT PRIMARY KEY);"
+            "INSERT INTO a VALUES (1, 'p'), (2, 'q'), (3, 'p');"
+            "INSERT INTO b VALUES (1), (3), (9);"
+        )
+        for sql in (
+            "INSERT INTO b VALUES ((SELECT MAX(x) FROM a) + 10)",
+            "INSERT INTO a VALUES (4, (SELECT MAX(y) FROM a)), "
+            "(5, (SELECT y FROM a WHERE x = 42))",
+            "INSERT INTO a (x, y) VALUES ((SELECT COUNT(*) FROM b) * 10, 'n')",
+        ):
+            two_tables.execute(sql)
+            referee.execute(sql)
+        for table in ("a", "b"):
+            query = f"SELECT * FROM {table} ORDER BY x"
+            assert two_tables.query(query) == referee.execute(query).fetchall()
+
 
 class TestSavepoints:
     def test_basic_savepoint_rollback(self, two_tables):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 
 import pytest
@@ -238,3 +239,143 @@ def test_an_image_that_matches_the_key_but_not_the_row_is_counted(disk_db, crash
     assert contents(recovered) == contents(disk_db)
     assert recovered.wal.recovery_stats["unmatched_ops"] == 1
     assert recovered.metrics_snapshot()["integrity"]["wal_unmatched_ops"] == 1
+
+
+class _Actor:
+    """One session's seeded script over its own table, plus a Python model
+    of what it has committed and of its open transaction."""
+
+    def __init__(self, session, table):
+        self.session = session
+        self.table = table
+        self.committed = {}  # id -> v
+        self.working = None  # the open transaction's view, else None
+        self.savepoints = []  # [(name, snapshot)], oldest first
+        self.named = 0
+
+    @property
+    def visible(self):
+        return self.committed if self.working is None else self.working
+
+    def step(self, rng):
+        # Weighted so transactions run long and nest savepoints.
+        if self.working is None:
+            weights = {"begin": 3, "insert": 2, "update": 1, "delete": 1}
+        else:
+            weights = {"insert": 4, "update": 3, "delete": 1, "savepoint": 2,
+                       "commit": 1, "rollback": 1}
+            if self.savepoints:
+                weights.update(rollback_to=3, release=1)
+        kind = rng.choices(list(weights), list(weights.values()))[0]
+        getattr(self, "_" + kind)(rng)
+
+    def _run(self, sql, change=None):
+        """Run one statement; apply *change* to the model's current view."""
+        self.session.execute(sql)
+        if change is not None:
+            rows = dict(self.visible)
+            change(rows)
+            if self.working is None:
+                self.committed = rows
+            else:
+                self.working = rows
+
+    def _insert(self, rng):
+        key = rng.choice([k for k in range(12) if k not in self.visible] or [99])
+        if key in self.visible:
+            return self._update(rng)
+        value = rng.randrange(100)
+        self._run(
+            f"INSERT INTO {self.table} VALUES ({key}, {value})",
+            lambda rows: rows.__setitem__(key, value),
+        )
+
+    def _update(self, rng):
+        key, value = rng.randrange(12), rng.randrange(100)
+        if rng.random() < 0.5:
+            def change(rows):
+                if key in rows:
+                    rows[key] = value
+
+            self._run(f"UPDATE {self.table} SET v = {value} WHERE id = {key}", change)
+        else:
+            def change(rows):
+                for k in rows:
+                    if k < key:
+                        rows[k] += 1
+
+            self._run(f"UPDATE {self.table} SET v = v + 1 WHERE id < {key}", change)
+
+    def _delete(self, rng):
+        key = rng.randrange(12)
+        if rng.random() < 0.5:
+            self._run(
+                f"DELETE FROM {self.table} WHERE id = {key}",
+                lambda rows: rows.pop(key, None),
+            )
+        else:
+            limit = rng.randrange(100)
+
+            def change(rows):
+                for k in [k for k, v in rows.items() if v > limit]:
+                    del rows[k]
+
+            self._run(f"DELETE FROM {self.table} WHERE v > {limit}", change)
+
+    def _begin(self, rng):
+        self._run("BEGIN")
+        self.working = dict(self.committed)
+
+    def _savepoint(self, rng):
+        self.named += 1
+        name = f"sp{self.named}"
+        self._run(f"SAVEPOINT {name}")
+        self.savepoints.append((name, dict(self.working)))
+
+    def _rollback_to(self, rng):
+        index = rng.randrange(len(self.savepoints))
+        name, snapshot = self.savepoints[index]
+        self._run(f"ROLLBACK TO SAVEPOINT {name}")
+        self.working = dict(snapshot)
+        del self.savepoints[index + 1:]
+
+    def _release(self, rng):
+        index = rng.randrange(len(self.savepoints))
+        self._run(f"RELEASE SAVEPOINT {self.savepoints[index][0]}")
+        del self.savepoints[index]
+
+    def _commit(self, rng):
+        self._run("COMMIT")
+        self.committed, self.working, self.savepoints = self.working, None, []
+
+    def _rollback(self, rng):
+        self._run("ROLLBACK")
+        self.working, self.savepoints = None, []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interleaved_savepoints_and_commit_groups(disk_db, crash, seed):
+    """Two sessions on disjoint tables interleave transactions, savepoints,
+    partial rollbacks and autocommit statements.  Both transactions log into
+    the one WAL at once; after every statement a crash image must reopen to
+    exactly what each session has committed, and the running database must
+    show each session's own view."""
+    rng = random.Random(seed)
+    for table in ("a", "b"):
+        disk_db.execute(f"CREATE TABLE {table} (id INT PRIMARY KEY, v INT)")
+    mgr = SessionManager(disk_db, SessionConfig(max_sessions=2))
+    actors = [_Actor(mgr.connect(), "a"), _Actor(mgr.connect(), "b")]
+
+    def model(view):
+        return {
+            actor.table: sorted(getattr(actor, view).items(), key=repr)
+            for actor in actors
+        }
+
+    for _step in range(60):
+        rng.choice(actors).step(rng)
+        assert contents(disk_db) == model("visible")
+        recovered = crash(disk_db)
+        assert not recovered.read_only, recovered._corruption_events
+        assert contents(recovered) == model("committed")
+    mgr.close()

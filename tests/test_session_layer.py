@@ -10,6 +10,7 @@ forever.
 
 from __future__ import annotations
 
+import shutil
 import socket
 import threading
 
@@ -349,6 +350,25 @@ class TestSessions:
         assert s1.query("SELECT v FROM t WHERE id = 1") == [(0,)]
         mgr.close()
 
+    def test_dml_subquery_sources_are_locked(self, db):
+        # The UPDATE reads u through its SET subquery, so it must wait for
+        # s2's X lock on u instead of reading s2's uncommitted 100.
+        mgr = SessionManager(
+            db, SessionConfig(lock_timeout=0.05, max_retries=0)
+        )
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.execute("CREATE TABLE u (id INT PRIMARY KEY, y INT)")
+        db.execute("INSERT INTO t VALUES (1, 0)")
+        db.execute("INSERT INTO u VALUES (1, 1)")
+        s1, s2 = mgr.connect(), mgr.connect()
+        s2.execute("BEGIN")
+        s2.execute("UPDATE u SET y = 100")
+        with pytest.raises(LockTimeoutError):
+            s1.execute("UPDATE t SET x = (SELECT MAX(y) FROM u)")
+        s2.execute("ROLLBACK")
+        assert s1.query("SELECT x FROM t") == [(0,)]
+        mgr.close()
+
     def test_ddl_serialises_against_open_txn(self, db):
         mgr = SessionManager(db, SessionConfig(lock_timeout=0.02))
         _seed(db)
@@ -585,6 +605,28 @@ class TestDegradation:
         db.checkpoint()
         mgr.close()
         db.close()
+
+    def test_session_ddl_does_not_flush_an_embedded_txn(self, tmp_path):
+        # The DDL's checkpoint would write the embedded transaction's
+        # uncommitted row into the heap files (no-steal), so it is skipped.
+        db = Database(path=str(tmp_path / "db"), fsync=False)
+        mgr = SessionManager(db)
+        db.execute("CREATE TABLE t (id INT)")
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES (1)")
+        mgr.connect().execute("CREATE TABLE z (id INT)")
+        image = str(tmp_path / "image")
+        shutil.copytree(db.path, image)
+        crashed = Database(path=image, fsync=False)
+        assert crashed.query("SELECT * FROM t") == []
+        crashed.close()
+        db.execute("COMMIT")
+        mgr.close()
+        db.close()
+        reopened = Database(path=db.path, fsync=False)
+        assert reopened.query("SELECT * FROM t") == [(1,)]
+        assert "z" in reopened.table_names()
+        reopened.close()
 
     def test_wal_scopes_keep_commit_groups_separate(self, tmp_path):
         path = str(tmp_path / "scoped_db")

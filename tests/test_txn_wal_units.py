@@ -23,6 +23,12 @@ def make_table():
     return Table(schema, HeapFile(MemoryPager()))
 
 
+def insert_logged(txn, wal, table, key):
+    """One insert logged undo and redo together, as the database does."""
+    rid = table.insert((key, "a"))
+    txn.log_insert(table, rid, redo=wal.log_insert("t", (key, "a")))
+
+
 class TestTransactionManagerUnit:
     def test_active_flag(self):
         txn = TransactionManager()
@@ -38,16 +44,52 @@ class TestTransactionManagerUnit:
         with pytest.raises(TransactionError):
             txn.begin()
 
-    def test_commit_fires_hooks(self):
-        txn = TransactionManager()
-        fired = []
-        txn.on_commit.append(lambda: fired.append("c"))
-        txn.on_rollback.append(lambda: fired.append("r"))
+    def test_commit_writes_exactly_its_own_lines(self, tmp_path):
+        # Two transactions over one log, interleaved: each commit is one
+        # group holding its own redo lines and nothing of the other's.
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
+        table = make_table()
+        first, second = TransactionManager(wal), TransactionManager(wal)
+        first.begin()
+        second.begin()
+        for txn, key in ((first, 1), (second, 2), (first, 3)):
+            insert_logged(txn, wal, table, key)
+        first.commit()
+        assert wal.stats["commits"] == 1 and wal.stats["ops"] == 2
+        second.rollback()
+        groups = []
+        wal.replay(lambda op: groups.append(op["row"][0]))
+        assert groups == [1, 3]
+        wal.close()
+
+    def test_rollback_drops_the_group(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
+        table = make_table()
+        txn = TransactionManager(wal)
+        txn.begin()
+        insert_logged(txn, wal, table, 1)
+        txn.rollback()
         txn.begin()
         txn.commit()
+        assert wal.stats["ops"] == 0
+        assert os.path.getsize(wal.path) == 0
+        wal.close()
+
+    def test_rollback_to_drops_the_tail(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
+        table = make_table()
+        txn = TransactionManager(wal)
         txn.begin()
-        txn.rollback()
-        assert fired == ["c", "r"]
+        insert_logged(txn, wal, table, 1)
+        mark = txn.mark()
+        insert_logged(txn, wal, table, 2)
+        txn.rollback_to(mark)
+        txn.commit()
+        assert wal.stats["ops"] == 1
+        seen = []
+        wal.replay(seen.append)
+        assert [op["row"] for op in seen] == [[1, "a"]]
+        wal.close()
 
     def test_undo_insert(self):
         table = make_table()
@@ -124,10 +166,9 @@ class TestWriteAheadLogUnit:
 
     def test_pending_then_commit(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        assert wal.pending_ops == 1
-        wal.commit()
-        assert wal.pending_ops == 0
+        line = wal.log_insert("t", (1, "a"))  # encoded, not yet written
+        assert os.path.getsize(wal.path) == 0
+        wal.commit([line])
         assert wal.stats == {
             "commits": 1,
             "ops": 1,
@@ -139,22 +180,13 @@ class TestWriteAheadLogUnit:
 
     def test_empty_commit_writes_nothing(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.commit()
+        wal.commit([])
         assert wal.stats["commits"] == 0
-        wal.close()
-
-    def test_discard_pending(self, tmp_path):
-        wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        wal.discard_pending()
-        wal.commit()
-        assert wal.stats["ops"] == 0
         wal.close()
 
     def test_replay_only_committed(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        wal.commit()
+        wal.commit([wal.log_insert("t", (1, "a"))])
         wal.log_insert("t", (2, "b"))  # never committed
         seen = []
         wal.replay(seen.append)
@@ -163,11 +195,10 @@ class TestWriteAheadLogUnit:
 
     def test_replay_groups_in_order(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        wal.log_update("t", (1, "a"), (1, "b"))
-        wal.commit()
-        wal.log_delete("t", (1, "b"))
-        wal.commit()
+        wal.commit(
+            [wal.log_insert("t", (1, "a")), wal.log_update("t", (1, "a"), (1, "b"))]
+        )
+        wal.commit([wal.log_delete("t", (1, "b"))])
         kinds = []
         wal.replay(lambda op: kinds.append(op["t"]))
         assert kinds == ["insert", "update", "delete"]
@@ -175,8 +206,7 @@ class TestWriteAheadLogUnit:
 
     def test_truncate(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        wal.commit()
+        wal.commit([wal.log_insert("t", (1, "a"))])
         wal.truncate()
         seen = []
         wal.replay(seen.append)
@@ -186,8 +216,7 @@ class TestWriteAheadLogUnit:
 
     def test_torn_tail_tolerated(self, tmp_path):
         wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        wal.commit()
+        wal.commit([wal.log_insert("t", (1, "a"))])
         with open(wal.path, "ab") as fh:
             fh.write(b'{"t": "insert", "tab": "t", "r')  # torn write
         seen = []
@@ -208,16 +237,6 @@ class TestWriteAheadLogUnit:
         wal = self.make(tmp_path)
         wal.close()
         with pytest.raises(StorageError):
-            wal.commit()
+            wal.commit([])
         with pytest.raises(StorageError):
             wal.truncate()
-
-    def test_discard_from_mark(self, tmp_path):
-        wal = self.make(tmp_path)
-        wal.log_insert("t", (1, "a"))
-        mark = wal.mark()
-        wal.log_insert("t", (2, "b"))
-        wal.discard_pending_from(mark)
-        wal.commit()
-        assert wal.stats["ops"] == 1
-        wal.close()
