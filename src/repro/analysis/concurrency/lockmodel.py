@@ -75,7 +75,7 @@ LOCK_SPECS: Tuple[LockSpec, ...] = (
     ),
     LockSpec(
         "metrics_registry", "_lock", "obs/registry.py", "lock",
-        "Registry._lock — guards counters/gauges/histograms",
+        "Registry._lock — guards counters/histograms",
     ),
     LockSpec(
         "detector_state", "_mutex", "analysis/concurrency/dynlock.py", "lock",

@@ -1,9 +1,9 @@
 """Rendering + caching for the concurrency analyzer.
 
-Feeds three consumers: ``python -m repro.analysis --concurrency`` (human
-or ``--json``), ``Database.metrics_snapshot()["analysis"]`` (which wants
-a cheap cached summary, not a re-parse of the package per snapshot), and
-the wowlint project pass (which only wants the Violations).
+Feeds two consumers: ``python -m repro.analysis --concurrency`` (human
+or ``--json``) and the wowlint project pass (which only wants the
+Violations).  The engine never runs the analyzer itself; the live
+dynamic-detector state is :func:`dynlock.snapshot`.
 """
 
 from __future__ import annotations
@@ -75,23 +75,6 @@ def report_to_dict(report: AnalysisReport,
             {"path": p, "line": ln, "name": name}
             for p, ln, name in report.unmodeled
         ],
-    }
-
-
-def metrics_section() -> Dict[str, Any]:
-    """The ``metrics_snapshot()["analysis"]`` payload: cached static
-    summary + live dynamic-detector state."""
-    report = cached_report()
-    return {
-        "static": {
-            "functions": report.functions,
-            "call_edges": report.call_edges,
-            "lock_order": report.ordered_locks,
-            "order_edges": len(report.order_edges),
-            "cycles": len(report.cycles),
-            "violations": len(report.violations),
-        },
-        "lock_check": dynlock.snapshot(),
     }
 
 

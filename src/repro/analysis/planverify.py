@@ -109,16 +109,6 @@ def _check_scan(op: A.Operator) -> None:
     expected = RowLayout.for_table(op.alias, op.table.schema)
     if op.layout.slots != expected.slots:
         _fail(op, f"scan layout does not match schema of table {op.table.name!r}")
-    from repro.analysis.rules import PREFETCH_HINTS
-
-    hint = getattr(op, "prefetch_hint", None)
-    if hint not in PREFETCH_HINTS:
-        _fail(
-            op,
-            f"scan declares unknown prefetch_hint {hint!r} (expected one "
-            f"of {sorted(PREFETCH_HINTS)}) — the buffer pool cannot pick "
-            "a read-ahead strategy",
-        )
     index = getattr(op, "index", None)
     if index is not None:
         schema_names = {col.name for col in op.table.schema.columns}

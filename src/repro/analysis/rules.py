@@ -577,77 +577,6 @@ class SharedMutableState(Rule):
         return None
 
 
-# ---------------------------------------------------------------------------
-# WOW008 — scan operators must declare their page-access pattern
-# ---------------------------------------------------------------------------
-
-#: the prefetch strategies the storage layer knows how to execute
-PREFETCH_HINTS = {"sequential", "range", "point", "none"}
-
-
-class UndeclaredPrefetchHint(Rule):
-    """Access-path leaves in ``relational/algebra.py`` must carry a
-    class-level ``prefetch_hint`` so the buffer pool can pick a read-ahead
-    strategy from the plan alone — an operator that batches pages without
-    saying how it touches them silently loses prefetch (and the planner's
-    cost model misprices it)."""
-
-    code = "WOW008"
-    title = "scan operator without a declared prefetch hint"
-    fixit = (
-        'declare a class-level `prefetch_hint = "sequential" | "range" | '
-        '"point" | "none"` on the scan class (inheriting the Operator '
-        "default hides the access pattern from the storage layer)"
-    )
-
-    def applies(self, path: str) -> bool:
-        return path.endswith("relational/algebra.py")
-
-    def check(self, tree: ast.AST, path: str) -> List[Violation]:
-        out: List[Violation] = []
-        for node in ast.iter_child_nodes(tree):
-            if not isinstance(node, ast.ClassDef) or not node.name.endswith("Scan"):
-                continue
-            hint = self._declared_hint(node)
-            if hint is None:
-                out.append(
-                    self.violation(
-                        node, path,
-                        f"scan operator {node.name} does not declare "
-                        "`prefetch_hint` — the storage layer cannot choose "
-                        "a read-ahead strategy for it",
-                    )
-                )
-            elif hint not in PREFETCH_HINTS:
-                out.append(
-                    self.violation(
-                        node, path,
-                        f"scan operator {node.name} declares unknown "
-                        f"prefetch_hint {hint!r} (expected one of "
-                        f"{sorted(PREFETCH_HINTS)})",
-                    )
-                )
-        return out
-
-    @staticmethod
-    def _declared_hint(cls: ast.ClassDef) -> Optional[str]:
-        """The literal value of a class-body ``prefetch_hint`` assignment,
-        '' when present but not a string constant, None when absent."""
-        for item in cls.body:
-            targets: List[ast.AST] = []
-            if isinstance(item, ast.Assign):
-                targets = list(item.targets)
-            elif isinstance(item, ast.AnnAssign) and item.value is not None:
-                targets = [item.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "prefetch_hint":
-                    value = item.value
-                    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                        return value.value
-                    return ""
-        return None
-
-
 #: the per-file rules, in code order
 RULES: Sequence[Rule] = (
     RawEngineIO(),
@@ -656,7 +585,6 @@ RULES: Sequence[Rule] = (
     NondeterministicEnginePath(),
     UnpairedSpan(),
     SharedMutableState(),
-    UndeclaredPrefetchHint(),
 )
 
 #: code -> one-line description, for --list-rules and the docs

@@ -1,8 +1,9 @@
-"""The F11 debug window (live metrics + slow log) and the F12 query
+"""The F11 debug window (live metrics + slow statements) and the F12 query
 inspector (a browser over the ``_statements`` telemetry table).
 
 Both are read-only, in-app faces of the ``repro.obs`` subsystem.  F11
-formats ``Database.metrics_snapshot()`` and the slow log as text; F12 is
+formats ``Database.metrics_snapshot()`` and the ``_slow_ops`` rows (the
+statement log filtered by ``Database.slow_ms``) as text; F12 is
 an ordinary :class:`~repro.core.browser.BrowserWindow` over the
 ``_statements`` system relation — the forms runtime browsing the engine's
 own telemetry.  Inside the metrics window:
@@ -14,6 +15,7 @@ own telemetry.  Inside the metrics window:
 
 from __future__ import annotations
 
+import time
 from typing import List
 
 from repro.core.browser import BrowserWindow
@@ -55,7 +57,7 @@ class _MetricsPane(Widget):
 
 
 def _snapshot_lines(db: Database) -> List[str]:
-    """Format the metrics snapshot and slow log for display."""
+    """Format the metrics snapshot and slow statements for display."""
     snap = db.metrics_snapshot()
     lines: List[str] = []
 
@@ -97,10 +99,12 @@ def _snapshot_lines(db: Database) -> List[str]:
                 f" max={summary['max'] if summary['max'] is None else round(summary['max'], 2)}"
             )
 
-    section(f"slow log (>= {snap['slow_log']['threshold_ms']:g} ms)")
-    dump = db.slow_log.dump()
-    lines.extend("  " + entry for entry in dump)
-    if not dump:
+    section(f"slow statements (>= {db.slow_ms:g} ms)")
+    slow = db.statement_log.slow_records(db.slow_ms)
+    for record in slow:
+        stamp = time.strftime("%H:%M:%S", time.localtime(record.ts))
+        lines.append(f"  {stamp} {record.duration_ms:8.2f} ms  {record.sql}")
+    if not slow:
         lines.append("  (empty)")
     return lines
 

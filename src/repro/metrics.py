@@ -1,12 +1,11 @@
 """Interaction-cost metrics shared by the forms UI and the baselines.
 
-The reconstructed evaluation measures three quantities:
+The reconstructed evaluation measures two quantities:
 
 * **keystrokes** — every key a user presses, via :class:`KeystrokeMeter`
   (both the forms UI and the raw-SQL baseline count through this class, so
   Table 1 compares like with like);
-* **cells transmitted** — counted by the renderer (Fig 3/4);
-* **wall-clock time** — :class:`Timer`, used for engine-side latencies.
+* **cells transmitted** — counted by the renderer (Fig 3/4).
 
 :class:`TerminalCostModel` converts (keystrokes, cells) into seconds at
 1983 rates for the Fig 5 crossover: a competent typist and a 9600-baud
@@ -15,9 +14,8 @@ serial line.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 
 class KeystrokeMeter:
@@ -56,46 +54,6 @@ class KeystrokeMeter:
         self.total = 0
         self.by_task.clear()
         self._current_task = None
-
-
-class Timer:
-    """A tiny perf_counter stopwatch with lap recording.
-
-    ``lap()`` measures *since the previous lap* (it restarts the lap
-    clock, by design — that is what makes consecutive laps independent);
-    ``elapsed()`` measures since ``start()`` and never mutates state, so
-    total wall-clock time stays observable at any point.
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._origin: Optional[float] = None
-        self.laps: List[float] = []
-
-    def start(self) -> "Timer":
-        self._start = time.perf_counter()
-        self._origin = self._start
-        return self
-
-    def lap(self) -> float:
-        """Seconds since start() or the previous lap(); recorded and
-        returned.  Restarts the lap clock (documented behaviour)."""
-        if self._start is None:
-            raise RuntimeError("Timer.lap() before start()")
-        elapsed = time.perf_counter() - self._start
-        self.laps.append(elapsed)
-        self._start = time.perf_counter()
-        return elapsed
-
-    def elapsed(self) -> float:
-        """Seconds since start(), regardless of laps; does not mutate."""
-        if self._origin is None:
-            raise RuntimeError("Timer.elapsed() before start()")
-        return time.perf_counter() - self._origin
-
-    @property
-    def mean(self) -> float:
-        return sum(self.laps) / len(self.laps) if self.laps else 0.0
 
 
 @dataclass

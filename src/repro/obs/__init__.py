@@ -1,33 +1,26 @@
-"""``repro.obs`` — in-process observability: metrics, spans, slow log.
+"""``repro.obs`` — in-process observability: metrics, spans, statement log.
 
-Three pieces, all stdlib-only:
+Three pieces, all stdlib-only and always on:
 
-* :class:`Registry` — named counters / gauges / histograms with
-  percentile summaries and JSON export (:mod:`repro.obs.registry`);
+* :class:`Registry` — named counters and histograms with percentile
+  summaries (:mod:`repro.obs.registry`);
 * :class:`Tracer` / :class:`Span` — context-manager spans on a
-  thread-local stack shared across tracer instances
-  (:mod:`repro.obs.tracer`);
-* :class:`SlowLog` — threshold-filtered ring of slow operations
-  (:mod:`repro.obs.slowlog`).
+  thread-local stack shared across tracer instances, each span's duration
+  landing in a ``span.<name>`` histogram (:mod:`repro.obs.tracer`);
+* :class:`StatementLog` — the one per-statement record: a bounded ring of
+  every executed statement, browsable as ``_statements`` and filtered by
+  duration as ``_slow_ops`` (:mod:`repro.obs.statlog`,
+  :mod:`repro.obs.systables`).
 
 A process-wide default registry (:func:`get_registry`) serves the UI
 layers; each :class:`~repro.relational.database.Database` additionally
-owns a tracer and slow log wired to the same registry unless told
-otherwise.  EXPLAIN ANALYZE plumbing lives in :mod:`repro.obs.analyze`.
+owns a tracer wired to the same registry unless told otherwise, and its
+own statement log.  EXPLAIN ANALYZE plumbing lives in
+:mod:`repro.obs.analyze`.
 """
 
 from .analyze import OpStats, instrument, operator_rows, render_analyze, stats_tree
-from .exporter import json_text, prometheus_text
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    get_registry,
-    set_enabled,
-    set_registry,
-)
-from .slowlog import SlowLog
+from .registry import Counter, Histogram, Registry, get_registry, set_registry
 from .statlog import (
     JsonlSink,
     PlanOpStat,
@@ -43,13 +36,10 @@ from .tracer import Span, Tracer, current_span
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
     "get_registry",
     "set_registry",
-    "set_enabled",
-    "SlowLog",
     "Span",
     "Tracer",
     "current_span",
@@ -58,8 +48,6 @@ __all__ = [
     "render_analyze",
     "stats_tree",
     "operator_rows",
-    "prometheus_text",
-    "json_text",
     "StatementLog",
     "StatementRecord",
     "PlanOpStat",

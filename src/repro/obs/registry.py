@@ -1,12 +1,10 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named counters and histograms.
 
 Design rules (see docs/INTERNALS.md §Observability):
 
 * **Zero dependencies** — everything here is stdlib-only and in-process.
-* **Pay for what you use** — a disabled registry hands out shared no-op
-  instruments and short-circuits :meth:`Registry.add` /
-  :meth:`Registry.observe` on a single attribute test, so instrumented
-  call sites cost one branch when observability is off.
+* **Always on** — there is no switch; an instrumented call site costs a
+  locked dict lookup and an add.
 * **JSON all the way down** — :meth:`Registry.snapshot` returns plain
   dicts/lists/numbers, so ``json.dumps`` always succeeds on it.
 
@@ -16,10 +14,9 @@ the registry imposes no hierarchy beyond the convention.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Optional
 
 #: ring size for histogram percentile windows (recent samples)
 _HISTOGRAM_WINDOW = 1024
@@ -36,22 +33,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (pool sizes, open windows, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float = 1.0) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -111,87 +92,24 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    """Shared no-op counter handed out by disabled registries."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class Registry:
-    """A namespace of metrics instruments, snapshottable as JSON.
+    """A namespace of metrics instruments, snapshottable as JSON."""
 
-    Instrument factories (:meth:`counter` & co.) return live instruments
-    while the registry is enabled and shared no-ops while it is disabled —
-    so components that cache an instrument at construction time pay nothing
-    per operation when observability was off at construction.  The
-    name-keyed helpers :meth:`add` and :meth:`observe` re-check ``enabled``
-    on every call and are the right choice for code that must honour
-    runtime toggling.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
-
-    # -- toggling ----------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     # -- instrument factories ---------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         with self._lock:
             instrument = self._counters.get(name)
             if instrument is None:
                 instrument = self._counters[name] = Counter(name)
         return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
     def histogram(self, name: str) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
@@ -201,14 +119,12 @@ class Registry:
     # -- one-shot helpers ---------------------------------------------------
 
     def add(self, name: str, amount: int = 1) -> None:
-        """Increment counter *name* (no-op while disabled)."""
-        if self.enabled:
-            self.counter(name).inc(amount)
+        """Increment counter *name*."""
+        self.counter(name).inc(amount)
 
     def observe(self, name: str, value: float) -> None:
-        """Record *value* into histogram *name* (no-op while disabled)."""
-        if self.enabled:
-            self.histogram(name).observe(value)
+        """Record *value* into histogram *name*."""
+        self.histogram(name).observe(value)
 
     # -- export -------------------------------------------------------------
 
@@ -220,34 +136,22 @@ class Registry:
         """All instruments as a JSON-serialisable dict."""
         with self._lock:
             return {
-                "enabled": self.enabled,
                 "counters": {n: c.value for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
                 "histograms": {
                     n: h.summary() for n, h in sorted(self._histograms.items())
                 },
             }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
-
-    def to_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        from repro.obs.exporter import prometheus_text
-
-        return prometheus_text(self.snapshot())
-
     def reset(self) -> None:
         """Forget every instrument (tests and benchmark iterations)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
 # -- process-wide default registry ------------------------------------------
 
-_default_registry = Registry(enabled=True)
+_default_registry = Registry()
 
 
 def get_registry() -> Registry:
@@ -261,8 +165,3 @@ def set_registry(registry: Registry) -> Registry:
     previous = _default_registry
     _default_registry = registry
     return previous
-
-
-def set_enabled(flag: bool) -> None:
-    """Toggle the default registry."""
-    _default_registry.enabled = flag

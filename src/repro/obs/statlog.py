@@ -2,15 +2,16 @@
 
 The paper's thesis — everything browsable through a form over a relational
 view — applies to the engine's own telemetry too.  :class:`StatementLog`
-records every ``Database.execute``/``stream``/prepared execution into a
-bounded in-memory ring (and, optionally, a rotating JSONL file sink), and
-the records are queryable as the ``_statements`` system table (see
-:mod:`repro.obs.systables`) and browsable in the F12 query-inspector
-window.
+records every ``Database.execute`` and prepared execution into a bounded
+in-memory ring (and, optionally, a rotating JSONL file sink), and the
+records are queryable as the ``_statements`` system table — and, filtered
+by duration, as ``_slow_ops`` (see :mod:`repro.obs.systables`) — and
+browsable in the F12 query-inspector window.  It is the engine's only
+per-statement record.
 
 Each :class:`StatementRecord` carries the statement's normalized SQL, its
-**fingerprint** (literals and parameters lifted to ``?`` — the join key the
-slow log and the future interface-mining work share), plan-cache hit/miss,
+**fingerprint** (literals and parameters lifted to ``?`` — the shape key
+the future interface-mining work starts from), plan-cache hit/miss,
 the physical **plan fingerprint**, duration, pages read, rows returned, and
 — for sampled or EXPLAIN ANALYZE'd executions — per-operator estimated vs
 actual row counts.  That est/act signal, aggregated per plan in
@@ -52,9 +53,9 @@ def fingerprint_sql(sql: str) -> str:
     """A stable fingerprint of *sql* with literals lifted to ``?``.
 
     Two statements that differ only in constants (``id = 3`` vs ``id = 7``)
-    — or in whitespace or keyword case — share a fingerprint, so the
-    statement log, slow log, and ``_statements`` aggregate them as one
-    shape.  Unlexable text falls back to a hash of the normalized string.
+    — or in whitespace or keyword case — share a fingerprint, so
+    ``_statements`` aggregates them as one shape.  Unlexable text falls
+    back to a hash of the normalized string.
     """
     try:
         tokens = tokenize(sql)
@@ -307,7 +308,7 @@ class StatementLog:
         #: callers may publish records concurrently
         self._lock = threading.Lock()
         #: capture in flight (statements are serialised by the engine
-        #: latch, so one in-flight capture suffices; streams detach)
+        #: latch, so one in-flight capture suffices)
         self.current: Optional[StatementRecord] = None
         #: (plan_fp, op_index) -> PlanOpStat, fed by samples + EXPLAIN ANALYZE
         self.plan_stats: Dict[Tuple[str, int], PlanOpStat] = {}
@@ -407,11 +408,6 @@ class StatementLog:
             return True
         return False
 
-    def detach(self, record: StatementRecord) -> None:
-        """Stop treating *record* as current (streams finish much later)."""
-        if self.current is record:
-            self.current = None
-
     def finish(
         self,
         record: StatementRecord,
@@ -433,7 +429,8 @@ class StatementLog:
                 record.cache = "hit"
             elif cache_misses > record._misses0:
                 record.cache = "miss"
-        self.detach(record)
+        if self.current is record:
+            self.current = None
         with self._lock:
             if error is not None:
                 record.error = error
@@ -454,6 +451,11 @@ class StatementLog:
         """Captured statements, oldest first."""
         with self._lock:
             return list(self._ring)
+
+    def slow_records(self, threshold_ms: float) -> List[StatementRecord]:
+        """Captured statements that took at least *threshold_ms*, oldest
+        first — the rows of ``_slow_ops`` and F11's slow section."""
+        return [r for r in self.records() if r.duration_ms >= threshold_ms]
 
     def plan_stat_rows(self) -> List[PlanOpStat]:
         """Aggregated per-plan operator stats, worst misestimates first."""

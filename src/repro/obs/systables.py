@@ -7,9 +7,9 @@ catalog's ``_tables``/``_columns``/... (see
 * ``_statements`` — the statement log's ring: one row per executed
   statement with fingerprint, plan-cache hit/miss, plan fingerprint,
   est/act rows, duration, pages read;
-* ``_slow_ops`` — the slow log, with the statement fingerprint extracted
-  from its span tags so it joins against ``_statements``;
-* ``_metrics`` — every counter/gauge/histogram of the engine snapshot and
+* ``_slow_ops`` — the ``_statements`` rows whose duration reached the
+  database's ``slow_ms`` threshold: same columns, same ``seq`` values;
+* ``_metrics`` — every counter/histogram of the engine snapshot and
   the attached registry, flattened to rows;
 * ``_plan_stats`` — per-plan, per-operator estimated-vs-actual row counts
   aggregated from sampled executions and EXPLAIN ANALYZE — the adaptive
@@ -37,13 +37,13 @@ attached) serves the same schemas empty via :func:`empty_system_table`.
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Tuple
 
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import ColumnType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.statlog import StatementRecord
     from repro.relational.database import Database
     from repro.relational.table import Table
 
@@ -58,9 +58,9 @@ TELEMETRY_TABLE_NAMES = (
 )
 
 
-def _schema_statements() -> TableSchema:
+def _schema_statements(name: str = "_statements") -> TableSchema:
     return TableSchema(
-        "_statements",
+        name,
         [
             Column("seq", ColumnType.INT, nullable=False),
             Column("ts", ColumnType.FLOAT, nullable=False),
@@ -78,21 +78,6 @@ def _schema_statements() -> TableSchema:
             Column("pages_read", ColumnType.INT),
             Column("duration_ms", ColumnType.FLOAT),
             Column("error", ColumnType.TEXT),
-        ],
-        primary_key=["seq"],
-    )
-
-
-def _schema_slow_ops() -> TableSchema:
-    return TableSchema(
-        "_slow_ops",
-        [
-            Column("seq", ColumnType.INT, nullable=False),
-            Column("ts", ColumnType.FLOAT, nullable=False),
-            Column("name", ColumnType.TEXT, nullable=False),
-            Column("duration_ms", ColumnType.FLOAT, nullable=False),
-            Column("fingerprint", ColumnType.TEXT),
-            Column("tags", ColumnType.TEXT),
         ],
         primary_key=["seq"],
     )
@@ -194,7 +179,7 @@ def _schema_storage() -> TableSchema:
 
 _SCHEMAS = {
     "_statements": _schema_statements,
-    "_slow_ops": _schema_slow_ops,
+    "_slow_ops": lambda: _schema_statements("_slow_ops"),
     "_metrics": _schema_metrics,
     "_plan_stats": _schema_plan_stats,
     "_table_stats": _schema_table_stats,
@@ -223,33 +208,26 @@ def empty_system_table(name: str) -> "Table":
 # -- builders ----------------------------------------------------------------
 
 
-def build_statements(db: "Database") -> "Table":
-    def rows() -> Iterator[Tuple[Any, ...]]:
-        for r in db.statement_log.records():
-            yield (
-                r.seq, r.ts, r.session, r.kind, r.sql, r.fingerprint,
-                r.params, r.cache, r.plan_fp, r.est_rows, r.rows,
-                r.pages_read, r.duration_ms, r.error,
-            )
+def _statement_rows(
+    records: Iterable["StatementRecord"],
+) -> Iterator[Tuple[Any, ...]]:
+    for r in records:
+        yield (
+            r.seq, r.ts, r.session, r.kind, r.sql, r.fingerprint,
+            r.params, r.cache, r.plan_fp, r.est_rows, r.rows,
+            r.pages_read, r.duration_ms, r.error,
+        )
 
-    return _fresh(_schema_statements(), rows())
+
+def build_statements(db: "Database") -> "Table":
+    return _fresh(_schema_statements(), _statement_rows(db.statement_log.records()))
 
 
 def build_slow_ops(db: "Database") -> "Table":
-    def rows() -> Iterator[Tuple[Any, ...]]:
-        for seq, entry in enumerate(db.slow_log.entries(), start=1):
-            tags = dict(entry.get("tags") or {})
-            fingerprint = tags.pop("fp", None)
-            yield (
-                seq,
-                entry["when"],
-                entry["name"],
-                entry["duration_ms"],
-                fingerprint,
-                json.dumps(tags, default=str) if tags else None,
-            )
-
-    return _fresh(_schema_slow_ops(), rows())
+    return _fresh(
+        _schema_statements("_slow_ops"),
+        _statement_rows(db.statement_log.slow_records(db.slow_ms)),
+    )
 
 
 def _numeric(value: Any) -> Any:
@@ -276,8 +254,6 @@ def build_metrics(db: "Database") -> "Table":
                 yield (source, name, "counter", numeric, None, None, None)
         for name, value in sorted(registry["counters"].items()):
             yield ("registry", name, "counter", float(value), None, None, None)
-        for name, value in sorted(registry["gauges"].items()):
-            yield ("registry", name, "gauge", float(value), None, None, None)
         for name, summary in sorted(registry["histograms"].items()):
             yield (
                 "registry", name, "histogram",

@@ -6,8 +6,8 @@ the process — so a ``db.execute`` span started by the database tracer
 correctly nests under a ``form.save`` span started by the forms layer,
 even though each layer holds its own ``Tracer``.  What stays per-tracer
 is where finished spans go: each tracer keeps its own ring of recent
-spans, reports durations into its registry (as ``span.<name>``
-histograms), and optionally feeds a :class:`~repro.obs.slowlog.SlowLog`.
+spans and reports durations into its registry (as ``span.<name>``
+histograms).  The per-statement record is the statement log, not a span.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from .registry import Registry
-from .slowlog import SlowLog
 
 _stack_local = threading.local()
 
@@ -87,39 +86,15 @@ class _SpanContext:
         self._tracer._finish(span)
 
 
-class _NullSpanContext:
-    """Returned while tracing is disabled; still usable as a span."""
-
-    __slots__ = ("span",)
-
-    def __init__(self) -> None:
-        self.span = Span("disabled", None, "disabled", 0)
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
 class Tracer:
-    """Hands out spans; keeps a ring of finished ones; feeds a slow log."""
+    """Hands out spans; keeps a ring of finished ones."""
 
-    def __init__(
-        self,
-        registry: Optional[Registry] = None,
-        slow_log: Optional[SlowLog] = None,
-        keep: int = 256,
-    ) -> None:
+    def __init__(self, registry: Optional[Registry] = None, keep: int = 256) -> None:
         self.registry = registry
-        self.slow_log = slow_log
-        self.enabled = True
         self.finished: Deque[Span] = deque(maxlen=keep)
 
-    def span(self, name: str, tags: Optional[Dict[str, Any]] = None):
+    def span(self, name: str, tags: Optional[Dict[str, Any]] = None) -> _SpanContext:
         """Context manager timing one operation; yields the :class:`Span`."""
-        if not self.enabled:
-            return _NullSpanContext()
         parent = current_span()
         path = f"{parent.path}/{name}" if parent is not None else name
         depth = parent.depth + 1 if parent is not None else 0
@@ -127,10 +102,8 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         self.finished.append(span)
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             self.registry.histogram(f"span.{span.name}").observe(span.duration_ms)
-        if self.slow_log is not None:
-            self.slow_log.record(span.path, span.duration_ms, span.tags)
 
     def recent(self) -> List[Dict[str, Any]]:
         """Finished spans oldest-first as JSON-serialisable dicts."""

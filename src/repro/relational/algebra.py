@@ -57,13 +57,6 @@ class Operator:
     """Base class for plan nodes."""
 
     layout: RowLayout
-    #: how this operator touches base-table pages — ``"sequential"``
-    #: (window read-ahead), ``"range"`` (run-grouped batch reads),
-    #: ``"point"`` (single-page probes), or ``"none"`` for non-leaf
-    #: operators.  Access-path leaves must declare their own value
-    #: (lint rule WOW008); the storage layer uses it to pick a prefetch
-    #: strategy without inspecting operator types.
-    prefetch_hint: str = "none"
     #: optional cardinality estimate, set by the planner when ANALYZE
     #: statistics are available; shown by EXPLAIN
     est_rows: Optional[float] = None
@@ -109,8 +102,6 @@ class Operator:
 class SeqScan(Operator):
     """Full scan of a base table under an alias."""
 
-    prefetch_hint = "sequential"
-
     def __init__(self, table: Table, alias: Optional[str] = None) -> None:
         self.table = table
         self.alias = (alias or table.name).lower()
@@ -127,8 +118,6 @@ class SeqScan(Operator):
 
 class IndexEqScan(Operator):
     """Point lookup: rows whose index key equals *key*."""
-
-    prefetch_hint = "point"
 
     def __init__(self, table: Table, index: Index, key: Tuple[Any, ...], alias: Optional[str] = None) -> None:
         self.table = table
@@ -148,8 +137,6 @@ class IndexEqScan(Operator):
 
 class IndexRangeScan(Operator):
     """Ordered scan of a B+-tree index between two single-column bounds."""
-
-    prefetch_hint = "range"
 
     def __init__(
         self,

@@ -24,7 +24,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
@@ -39,7 +38,7 @@ from repro.errors import (
     StorageError,
     TransactionError,
 )
-from repro.obs import Registry, SlowLog, Tracer, get_registry, instrument, render_analyze
+from repro.obs import Registry, Tracer, get_registry, instrument, render_analyze
 from repro.obs.analyze import operator_rows
 from repro.obs.statlog import (
     JsonlSink,
@@ -202,8 +201,7 @@ class Database:
         fsync: bool = True,
         planner_config: Optional[PlannerConfig] = None,
         obs: Optional[Registry] = None,
-        slow_ms: Optional[float] = None,
-        slow_capacity: Optional[int] = None,
+        slow_ms: float = 50.0,
         plan_cache_size: int = 128,
         statlog_capacity: int = 256,
         statlog_path: Optional[str] = None,
@@ -236,16 +234,13 @@ class Database:
         #: the WAL group sequence the last durable checkpoint covered
         self._checkpoint_seq = 0
         #: observability: metrics registry (shared process default unless a
-        #: private one is injected), per-database slow log, and a tracer
-        #: whose span stack is shared with the UI layers' tracers
+        #: private one is injected) and a tracer whose span stack is shared
+        #: with the UI layers' tracers
         self.obs = obs if obs is not None else get_registry()
-        slow_kwargs: Dict[str, Any] = {}
-        if slow_ms is not None:
-            slow_kwargs["threshold_ms"] = slow_ms
-        if slow_capacity is not None:
-            slow_kwargs["capacity"] = slow_capacity
-        self.slow_log = SlowLog(**slow_kwargs)
-        self.tracer = Tracer(self.obs, slow_log=self.slow_log)
+        self.tracer = Tracer(self.obs)
+        #: statements at or above this many milliseconds are the rows of
+        #: ``_slow_ops`` (a filter over the statement log)
+        self.slow_ms = slow_ms
         self._pagers: Dict[str, FilePager] = {}
         #: engine latch: one statement at a time touches the internal
         #: structures (catalog, heaps, caches).  Held for the duration of
@@ -305,7 +300,7 @@ class Database:
         #: behaviour — used by benchmarks for before/after comparisons)
         self.plan_cache = PlanCache(capacity=plan_cache_size)
         self._catalog_generation_seen = self.catalog.generation
-        #: statement log: every execute/stream captured into a bounded ring
+        #: statement log: every top-level statement captured into a bounded ring
         #: (and optionally a rotating JSONL sink); ``statlog_capacity=0``
         #: turns capture off entirely — the path then costs one branch
         self.statement_log = StatementLog(
@@ -387,40 +382,20 @@ class Database:
         with self._latch:
             outer = self._ctx
             self._ctx = ctx or outer
-            capture = None
             try:
-                self._begin_row_budget()
-                capture = self._begin_capture()
-                entry = self._lookup_statement(sql)
-                statement = entry.statement
-                tags: Dict[str, Any] = {"stmt": type(statement).__name__}
-                if entry.fingerprint is not None:
-                    # The statement fingerprint rides on the span so slow-log
-                    # entries join against _statements.
-                    tags["fp"] = entry.fingerprint
-                if capture is not None:
-                    self.statement_log.describe(
-                        capture, sql, entry.fingerprint, type(statement).__name__
-                    )
-                with self.tracer.span("db.execute", tags) as span:
-                    result = self._execute_statement(statement, sql, cache_entry=entry)
-                    span.tag("rows", result.rowcount)
-            except BaseException as exc:
-                if capture is not None:
-                    self._finish_capture(capture, None, error=exc)
-                raise
-            else:
-                if capture is not None:
-                    self._finish_capture(capture, result.rowcount)
-                return result
+                return self._run_captured(sql)
             finally:
                 self._ctx = outer
 
     def execute_script(self, sql: str) -> List[Result]:
-        """Execute a ';'-separated script; returns one Result per statement."""
+        """Execute a ';'-separated script; returns one Result per statement.
+
+        The whole script is parsed first, so a syntax error anywhere runs
+        nothing; then each statement's own text goes through
+        :meth:`execute` (so a CREATE VIEW stores only its own statement).
+        """
         with self._latch:
-            self._begin_row_budget()
-            return [self._execute_statement(s, sql) for s in parse_script(sql)]
+            return [self.execute(text) for _statement, text in parse_script(sql)]
 
     def query(self, sql: str) -> List[Row]:
         """Shorthand: execute a SELECT and return its rows."""
@@ -439,54 +414,6 @@ class Database:
         if self.statement_log.enabled:
             handle.fingerprint = fingerprint_sql(sql)
         return handle
-
-    def stream(self, sql: str) -> Tuple[List[str], Iterator[Row]]:
-        """Execute a SELECT lazily: (column names, row iterator).
-
-        Rows are produced as the plan pulls them — nothing is materialised
-        up front, so huge scans cost O(1) memory.  Do not run DML on the
-        tables being scanned while the iterator is live.  Only the
-        planning phase runs under the engine latch; the returned iterator
-        pulls rows outside it, so streams are for embedded single-session
-        use (the session layer materialises instead).
-        """
-        with self._latch:
-            self._begin_row_budget()
-            capture = self._begin_capture()
-            try:
-                entry = self._lookup_statement(sql)
-                statement = entry.statement
-                if not isinstance(statement, A.Select):
-                    raise SqlError("stream() takes a single SELECT")
-                self._check_select_privileges(statement)
-                plan = self._select_plan(statement, cache_entry=entry)
-            except BaseException as exc:
-                if capture is not None:
-                    self._finish_capture(capture, None, error=exc)
-                raise
-            self.stats["selects"] += 1
-            if capture is None:
-                return plan.layout.names(), self._iter_rows(plan)
-            log = self.statement_log
-            log.describe(capture, sql, entry.fingerprint, "Select")
-            log.note_plan(plan)
-            # The capture detaches here and finishes when the iterator
-            # drains — a long-lived stream must not swallow captures of
-            # statements that execute while it is open.
-            log.detach(capture)
-            return plan.layout.names(), self._stream_rows(plan, capture)
-
-    def _stream_rows(self, plan: Any, capture: Any) -> Iterator[Row]:
-        """Drain a streamed plan, finishing its statement capture."""
-        produced = 0
-        try:
-            for row in self._iter_rows(plan):
-                produced += 1
-                yield row
-        except BaseException as exc:
-            self._finish_capture(capture, produced, error=exc)
-            raise
-        self._finish_capture(capture, produced)
 
     # -- statement/plan cache plumbing --------------------------------------
 
@@ -549,7 +476,7 @@ class Database:
         )
 
     def _pages_read_total(self) -> int:
-        """Pages fetched across every table's pager (reads + hits + misses).
+        """Pages fetched across every table's pager (hits + misses).
 
         Snapshotted at capture begin/finish; the delta is the statement's
         page traffic.
@@ -558,11 +485,7 @@ class Database:
         for table in self.catalog.tables():
             stats = getattr(getattr(table.heap, "_pager", None), "stats", None)
             if stats:
-                total += (
-                    stats.get("reads", 0)
-                    + stats.get("hits", 0)
-                    + stats.get("misses", 0)
-                )
+                total += stats.get("hits", 0) + stats.get("misses", 0)
         return total
 
     def _finish_capture(
@@ -679,34 +602,40 @@ class Database:
     def _execute_prepared(self, prepared: PreparedStatement) -> Result:
         """Run a prepared statement (parameters already bound by the handle)."""
         with self._latch:
-            self._begin_row_budget()
-            statement = prepared.statement
-            capture = self._begin_capture()
+            return self._run_captured(prepared.sql, prepared)
+
+    def _run_captured(
+        self, sql: str, prepared: Optional[PreparedStatement] = None
+    ) -> Result:
+        """Run one top-level statement inside its statement-log capture and
+        ``db.execute`` span — the one capture site behind :meth:`execute`
+        and :meth:`PreparedStatement.execute`.  Caller holds the latch."""
+        self._begin_row_budget()
+        capture = self._begin_capture()
+        try:
+            if prepared is None:
+                entry: Optional[CacheEntry] = self._lookup_statement(sql)
+                statement, fingerprint, params = entry.statement, entry.fingerprint, None
+            else:
+                entry = None
+                statement, fingerprint = prepared.statement, prepared.fingerprint
+                params = [param.value for param in prepared._params]
+            kind = type(statement).__name__
             if capture is not None:
-                self.statement_log.describe(
-                    capture,
-                    prepared.sql,
-                    prepared.fingerprint,
-                    type(statement).__name__,
-                    params=[param.value for param in prepared._params],
-                )
-            tags: Dict[str, Any] = {"stmt": type(statement).__name__, "prepared": True}
-            if prepared.fingerprint is not None:
-                tags["fp"] = prepared.fingerprint
-            try:
-                with self.tracer.span("db.execute", tags) as span:
-                    if isinstance(statement, A.Select):
-                        result = self._run_select(statement, prepared=prepared)
-                    else:
-                        result = self._execute_statement(statement, prepared.sql)
-                    span.tag("rows", result.rowcount)
-            except BaseException as exc:
-                if capture is not None:
-                    self._finish_capture(capture, None, error=exc)
-                raise
+                self.statement_log.describe(capture, sql, fingerprint, kind, params)
+            with self.tracer.span("db.execute", {"stmt": kind}) as span:
+                if prepared is not None and isinstance(statement, A.Select):
+                    result = self._run_select(statement, prepared=prepared)
+                else:
+                    result = self._execute_statement(statement, sql, cache_entry=entry)
+                span.tag("rows", result.rowcount)
+        except BaseException as exc:
             if capture is not None:
-                self._finish_capture(capture, result.rowcount)
-            return result
+                self._finish_capture(capture, None, error=exc)
+            raise
+        if capture is not None:
+            self._finish_capture(capture, result.rowcount)
+        return result
 
     # ------------------------------------------------------------------
     # Programmatic DML (used by the forms runtime)
@@ -1254,8 +1183,8 @@ class Database:
         """A JSON-serialisable dict of every layer's counters.
 
         Covers storage (pager, WAL, B+-tree), transactions, planner
-        decisions, statement counts, the slow log, and the attached metrics
-        registry (which carries the forms/windows layer's counters and span
+        decisions, statement counts, the statement log, and the attached
+        metrics registry (which carries the forms/windows layer's counters and span
         histograms when this database shares the process default registry).
         """
         pager_stats: Dict[str, int] = {}
@@ -1316,31 +1245,9 @@ class Database:
                     ).items()
                 },
             },
-            "slow_log": {
-                "threshold_ms": self.slow_log.threshold_ms,
-                "entries": len(self.slow_log),
-                "dropped": self.slow_log.dropped,
-            },
             "statement_log": self.statement_log.snapshot(),
             "registry": self.obs.snapshot(),
-            "analysis": self._analysis_metrics(),
         }
-
-    @staticmethod
-    def _analysis_metrics() -> Dict[str, Any]:
-        """The concurrency analyzer's view: cached static lock-order
-        summary + the live dynamic-detector state (WOW_LOCK_CHECK)."""
-        from repro.analysis.concurrency import report as _conc_report
-
-        return _conc_report.metrics_section()
-
-    def slow_operations(self) -> List[Dict[str, Any]]:
-        """The slow log's entries, oldest first (JSON-serialisable)."""
-        return self.slow_log.entries()
-
-    def set_slow_threshold(self, threshold_ms: float) -> None:
-        """Operations at or above *threshold_ms* land in the slow log."""
-        self.slow_log.threshold_ms = threshold_ms
 
     def _begin_row_budget(self) -> None:
         """Arm the per-statement row budget (top-level statements only —
@@ -1364,24 +1271,15 @@ class Database:
         return rows
 
     def _iter_batches(self, plan: Operator) -> Iterator[List[Row]]:
-        """Lazy batch iterator, charging the statement row budget."""
-        # Captured now, not at first next(): a stream outlives the
-        # statement that armed its budget.
+        """Lazy batch iterator, charging the statement row budget (EXPLAIN
+        ANALYZE counts rows without materialising them)."""
         budget = self._row_budget
-
-        def batches() -> Iterator[List[Row]]:
-            for batch in plan.rows_batched():
-                if budget is not None:
-                    budget.charge(len(batch))
-                EXEC_METRICS["batches"] += 1
-                EXEC_METRICS["batch_rows"] += len(batch)
-                yield batch
-
-        return batches()
-
-    def _iter_rows(self, plan: Operator) -> Iterator[Row]:
-        """Lazy row iterator over :meth:`_iter_batches`."""
-        return chain.from_iterable(self._iter_batches(plan))
+        for batch in plan.rows_batched():
+            if budget is not None:
+                budget.charge(len(batch))
+            EXEC_METRICS["batches"] += 1
+            EXEC_METRICS["batch_rows"] += len(batch)
+            yield batch
 
     def _run_select(
         self,

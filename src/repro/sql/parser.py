@@ -111,7 +111,7 @@ def parse_statement(sql: str) -> A.Statement:
     statements = parse_script(sql)
     if len(statements) != 1:
         raise ParseError(f"expected one statement, got {len(statements)}")
-    return statements[0]
+    return statements[0][0]
 
 
 def parse_prepared(sql: str) -> Tuple[A.Statement, List[E.Param]]:
@@ -130,14 +130,17 @@ def parse_prepared(sql: str) -> Tuple[A.Statement, List[E.Param]]:
     return statement, parser.params
 
 
-def parse_script(sql: str) -> List[A.Statement]:
-    """Parse a ';'-separated sequence of statements."""
+def parse_script(sql: str) -> List[Tuple[A.Statement, str]]:
+    """Parse a ';'-separated sequence of statements, each paired with its
+    own source text (sliced from *sql* by token offsets)."""
     parser = _Parser(tokenize(sql))
-    statements: List[A.Statement] = []
+    statements: List[Tuple[A.Statement, str]] = []
     while not parser.at("EOF"):
         if parser.accept_punct(";"):
             continue
-        statements.append(parser.statement())
+        start = parser.peek().pos
+        statement = parser.statement()
+        statements.append((statement, sql[start : parser.peek().pos].rstrip()))
     return statements
 
 

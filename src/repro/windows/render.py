@@ -53,10 +53,9 @@ class Renderer:
         self.last_frame_cells = transmitted
         self.frames += 1
         registry = get_registry()
-        if registry.enabled:
-            registry.counter("windows.frames").inc()
-            registry.counter("windows.cells_transmitted").inc(transmitted)
-            registry.histogram("windows.frame_cells").observe(transmitted)
+        registry.counter("windows.frames").inc()
+        registry.counter("windows.cells_transmitted").inc(transmitted)
+        registry.histogram("windows.frame_cells").observe(transmitted)
         return transmitted
 
     def changed_cells(self) -> List[Tuple[int, int, Cell]]:

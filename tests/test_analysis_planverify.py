@@ -198,11 +198,6 @@ class TestMalformedPlansRejected:
         op.key = (1, 2)
         _rejects(op, r"lookup key has 2 components but index 'iv' covers 1")
 
-    def test_unknown_prefetch_hint(self, db):
-        op = _find(_plan(db, "SELECT id FROM t"), "SeqScan")
-        op.prefetch_hint = "psychic"
-        _rejects(op, r"unknown prefetch_hint 'psychic'")
-
     def test_range_scan_bound_longer_than_index(self, db):
         op = _find(
             _plan(db, "SELECT id FROM t WHERE val >= 0 AND val <= 2"),

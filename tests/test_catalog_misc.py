@@ -1,8 +1,8 @@
-"""Tests for the catalog layer, system-table protection, and streaming."""
+"""Tests for the catalog layer, system-table protection, and scripts."""
 
 import pytest
 
-from repro.errors import CatalogError, SqlError
+from repro.errors import CatalogError, ParseError
 from repro.relational.catalog import Catalog, view_dependencies
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
@@ -88,27 +88,42 @@ class TestSystemTableProtection:
         app.expect_on_screen("table_name")
 
 
-class TestStreaming:
-    def test_stream_lazy_rows(self, company):
-        columns, rows = company.stream("SELECT id, name FROM emp ORDER BY id")
-        assert columns == ["id", "name"]
-        first = next(rows)
-        assert first == (10, "ada")
-        assert len(list(rows)) == 3
+class TestExecuteScript:
+    SCRIPT = (
+        "CREATE TABLE t (id INT PRIMARY KEY, x INT); "
+        "CREATE VIEW v AS SELECT id FROM t WHERE x > 0; "
+        "INSERT INTO t VALUES (1, 5)"
+    )
 
-    def test_stream_rejects_non_select(self, company):
-        with pytest.raises(SqlError):
-            company.stream("DELETE FROM emp")
+    def test_view_keeps_its_own_text(self):
+        db = Database()
+        db.execute_script(self.SCRIPT)
+        assert db.query("SELECT definition FROM _views") == [
+            ("CREATE VIEW v AS SELECT id FROM t WHERE x > 0",)
+        ]
 
-    def test_stream_respects_privileges(self, company):
-        from repro.relational.auth import AuthError
+    def test_view_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database(path=path)
+        db.execute_script(self.SCRIPT)
+        db.close()
+        reopened = Database(path=path)
+        assert not reopened.read_only
+        assert reopened.integrity_check().ok
+        assert reopened.query("SELECT * FROM v") == [(1,)]
+        assert reopened.query("SELECT definition FROM _views") == [
+            ("CREATE VIEW v AS SELECT id FROM t WHERE x > 0",)
+        ]
+        reopened.close()
 
-        company.set_user("nobody")
-        with pytest.raises(AuthError):
-            company.stream("SELECT * FROM emp")
-        company.set_user("dba")
+    def test_syntax_error_anywhere_runs_nothing(self):
+        db = Database()
+        with pytest.raises(ParseError):
+            db.execute_script("CREATE TABLE t (id INT PRIMARY KEY); FROB")
+        assert not db.catalog.has_table("t")
 
-    def test_stream_counts_as_select(self, company):
-        before = company.stats["selects"]
-        company.stream("SELECT id FROM emp")
-        assert company.stats["selects"] == before + 1
+    def test_statements_are_captured(self):
+        db = Database()
+        db.execute_script(self.SCRIPT)
+        kinds = [r.kind for r in db.statement_log.records()]
+        assert kinds == ["CreateTable", "CreateView", "Insert"]

@@ -8,10 +8,14 @@ Three layers under test:
 * the dynamic lockset detector — latch discipline, per-statement lockset
   ordering, observed-order inversions with both stacks in the report;
 * the CLI/pipeline wiring — ``--concurrency`` output, wowlint formats,
-  ``--strict`` baseline hygiene, ``metrics_snapshot()["analysis"]``.
+  ``--strict`` baseline hygiene, and that ``metrics_snapshot()`` never
+  runs the analyzer.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -509,15 +513,20 @@ class TestCli:
         assert payload["checked_invariants"]
         assert "lock_check" in payload
 
-    def test_metrics_snapshot_analysis_section(self):
-        db = Database()
-        snap = db.metrics_snapshot()
-        assert "analysis" in snap
-        analysis = snap["analysis"]
-        assert analysis["static"]["cycles"] == 0
-        assert analysis["static"]["violations"] == 0
-        assert "engine_latch" in analysis["static"]["lock_order"]
-        assert analysis["lock_check"]["enabled"] is False
+    def test_metrics_snapshot_does_not_run_the_analyzer(self):
+        """The static analyzer is a CLI, not a metrics source: taking a
+        snapshot (directly or through ``_metrics``) never parses the
+        package."""
+        script = (
+            "from repro.relational.database import Database\n"
+            "from repro.analysis.concurrency import report\n"
+            "db = Database()\n"
+            "db.metrics_snapshot()\n"
+            "db.execute('SELECT * FROM _metrics')\n"
+            "assert report._cached is None\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_ROOT))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_format_json(self, capsys):
         exit_code = main(["--check", "src/repro/analysis", "--format=json"])

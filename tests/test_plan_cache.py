@@ -43,15 +43,6 @@ class TestCacheHits:
         # Case is preserved: 'x' and 'X' are different string literals.
         assert normalize_sql("SELECT 'X'") != normalize_sql("SELECT 'x'")
 
-    def test_stream_uses_the_cache(self, company):
-        sql = "SELECT id FROM emp ORDER BY id"
-        _cols, iterator = company.stream(sql)
-        rows = list(iterator)
-        before = plans(company)
-        _cols, iterator = company.stream(sql)
-        assert list(iterator) == rows
-        assert plans(company) == before
-
     def test_dml_does_not_invalidate_but_is_visible(self, company):
         sql = "SELECT COUNT(*) FROM emp"
         assert company.query(sql) == [(4,)]

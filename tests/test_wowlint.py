@@ -236,62 +236,6 @@ class TestWow007SharedState:
         assert codes(src, APP_PATH) == []
 
 
-class TestWow008PrefetchHint:
-    ALGEBRA_PATH = "src/repro/relational/algebra.py"
-
-    def test_scan_without_hint_fires(self):
-        src = """
-            class Operator:
-                prefetch_hint = "none"
-            class SeqScan(Operator):
-                def rows_batched(self, n=1):
-                    pass
-        """
-        assert codes(src, self.ALGEBRA_PATH) == ["WOW008"]
-
-    def test_unknown_hint_fires(self):
-        src = """
-            class BitmapScan:
-                prefetch_hint = "bitmap"
-        """
-        assert codes(src, self.ALGEBRA_PATH) == ["WOW008"]
-
-    def test_non_constant_hint_fires(self):
-        src = """
-            class DynScan:
-                prefetch_hint = HINT
-        """
-        assert codes(src, self.ALGEBRA_PATH) == ["WOW008"]
-
-    def test_declared_hints_clean(self):
-        src = """
-            class SeqScan:
-                prefetch_hint = "sequential"
-            class IndexEqScan:
-                prefetch_hint = "point"
-            class IndexRangeScan:
-                prefetch_hint = "range"
-            class NestedLoopJoin:
-                pass
-        """
-        assert codes(src, self.ALGEBRA_PATH) == []
-
-    def test_only_algebra_module_in_scope(self):
-        src = "class LoneScan:\n    pass\n"
-        assert codes(src, ENGINE_PATH) == []
-        assert codes(src, "src/repro/relational/algebra.py") == ["WOW008"]
-
-    def test_real_algebra_module_is_clean(self):
-        with open("src/repro/relational/algebra.py") as fh:
-            source = fh.read()
-        found = [
-            v.code
-            for v in lint_source(source, "src/repro/relational/algebra.py")
-            if v.code == "WOW008"
-        ]
-        assert found == []
-
-
 class TestWow001ReadCoverage:
     def test_raw_reads_fire(self):
         src = """
@@ -398,7 +342,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("WOW001", "WOW002", "WOW003", "WOW004", "WOW005",
-                     "WOW007", "WOW008", "WOW009", "WOW010"):
+                     "WOW007", "WOW009", "WOW010"):
             assert code in out
         assert "WOW006" not in out
 
