@@ -1,7 +1,10 @@
 """Eraser-style dynamic lockset detector (opt-in via ``WOW_LOCK_CHECK=1``).
 
-The static checkers in :mod:`lockorder` prove discipline over paths the
-call graph can see; this module cross-checks the paths that actually ran.
+The engine's lock order is two levels deep: the engine latch
+(``Database._latch``) is outermost, and the five other mutexes (the lock
+table's condition, the session registry, the plan cache, the statement
+log and the metrics registry) are leaves that take no lock while held.
+This module checks that discipline on the paths that actually run.
 When enabled, :class:`Database` wraps its latch in a :class:`CheckedLock`
 and :class:`SessionManager` wraps its :class:`LockManager` in a
 :class:`CheckedLockManager`; every acquisition then flows through one
@@ -29,8 +32,9 @@ the runtime wait-for-graph detector is the enforcement there.  The
 dynamic checker polices the mutexes and the per-statement lockset, where
 deadlock would be a code bug rather than a workload property.
 
-Everything here is stdlib-only (plus :mod:`repro.errors`): the analysis
-package must import before any dependency is installed.
+Everything here is stdlib-only (plus :mod:`repro.errors` and, when a
+lockset is checked, :mod:`repro.session.locks`): the analysis package
+must import before any dependency is installed.
 """
 
 from __future__ import annotations
@@ -42,12 +46,10 @@ import traceback
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import LockDisciplineError
-from repro.analysis.concurrency.lockmodel import (
-    CATALOG_RESOURCE_VALUE,
-    TABLE_LOCKS,
-)
 
 _ENGINE_LATCH = "engine_latch"
+#: the 2PL table-lock namespace as one node of the observed order graph
+_TABLE_LOCKS = "table_locks"
 
 #: process-wide switch; WOW_LOCK_CHECK=1 at import time, or set_lock_check()
 _enabled = os.environ.get("WOW_LOCK_CHECK", "0") not in ("", "0")
@@ -73,7 +75,10 @@ def _capture_stack(skip: int = 2) -> List[str]:
 def _lockset_sort_key(resource: str) -> Tuple[bool, str]:
     """Catalog pseudo-lock first, then table names ascending — must match
     SessionManager._statement_locks."""
-    return (resource != CATALOG_RESOURCE_VALUE, resource)
+    # deferred: a Database without sessions never loads repro.session
+    from repro.session.locks import CATALOG_RESOURCE
+
+    return (resource != CATALOG_RESOURCE, resource)
 
 
 class LockCheckState:
@@ -150,7 +155,7 @@ class LockCheckState:
                     "engine latch — a lock wait here stalls every session"
                 ),
                 stacks={"engine_latch": latch_stack, "table_lock": stack},
-                cycle=[_ENGINE_LATCH, TABLE_LOCKS, _ENGINE_LATCH],
+                cycle=[_ENGINE_LATCH, _TABLE_LOCKS, _ENGINE_LATCH],
             )
         lockset = self._lockset()
         if lockset:
@@ -177,7 +182,7 @@ class LockCheckState:
             for prior, prior_stack in self._held():
                 if prior != _ENGINE_LATCH:
                     message = self._add_edge(
-                        prior, TABLE_LOCKS, prior_stack, stack)
+                        prior, _TABLE_LOCKS, prior_stack, stack)
                     if message is not None and problem is None:
                         problem = message
         if problem is not None:

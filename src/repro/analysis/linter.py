@@ -1,8 +1,8 @@
 """wowlint: file walking, rule dispatch, baseline application, CLI entry.
 
 ``lint_source`` lints one in-memory file (the unit the rule tests drive);
-``lint_paths`` walks real paths, runs the project-level WOW009/WOW010
-pass, and applies the baseline and inline suppressions.  ``main`` is the
+``lint_paths`` walks real paths and applies the baseline and inline
+suppressions.  ``main`` is the
 argparse CLI behind ``python -m repro.analysis``.
 
 Inline suppression: a ``# wowlint: allow WOW00x`` comment on the violating
@@ -17,7 +17,6 @@ import ast
 import json
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -30,11 +29,6 @@ from repro.analysis.rules import (
 )
 
 _ALLOW_RE = re.compile(r"#\s*wowlint:\s*allow\s+([A-Z0-9,\s]+)")
-
-#: the concurrency project pass (WOW009/WOW010) needs the whole engine
-#: call graph; it runs only when the lock-table module is in scope, so
-#: linting a single unrelated file stays cheap and deterministic
-_CONC_ANCHOR = "src/repro/session/locks.py"
 
 
 @dataclass
@@ -194,8 +188,7 @@ def lint_paths(
     baseline_path: Optional[str] = None,
     use_baseline: bool = True,
 ) -> LintReport:
-    """Lint files/directories, run the WOW009/WOW010 project pass, apply
-    the baseline."""
+    """Lint files/directories and apply the baseline."""
     root = None
     for p in paths:
         root = find_repo_root(p)
@@ -204,7 +197,6 @@ def lint_paths(
     report = LintReport()
     all_violations: List[Violation] = []
     seen: Set[str] = set()
-    conc_sources: Dict[str, str] = {}  # src/repro/* sources, for WOW009/010
     for path in _iter_python_files(paths):
         relpath = _relpath(path, root)
         if relpath in seen:
@@ -217,20 +209,10 @@ def lint_paths(
             report.parse_errors.append(f"{relpath}: unreadable ({exc})")
             continue
         report.files_checked += 1
-        if relpath.startswith("src/repro/"):
-            conc_sources[relpath] = source
         try:
             all_violations.extend(lint_source(source, relpath))
         except SyntaxError as exc:
             report.parse_errors.append(f"{relpath}: syntax error at line {exc.lineno}")
-
-    # Project pass: the interprocedural concurrency rules (WOW009/WOW010)
-    # run over the whole collected engine tree; inline `# wowlint: allow`
-    # applies per file exactly as for the per-file rules.
-    if _CONC_ANCHOR in conc_sources:
-        all_violations.extend(
-            concurrency_violations(conc_sources, skip_allowed=True)
-        )
 
     if baseline_path is None and root:
         candidate = os.path.join(root, baseline_mod.BASELINE_FILENAME)
@@ -247,58 +229,11 @@ def lint_paths(
     return report
 
 
-def concurrency_violations(
-    conc_sources: Dict[str, str], skip_allowed: bool = True
-) -> List[Violation]:
-    """WOW009/WOW010 from the interprocedural pass, with per-file
-    ``# wowlint: allow`` suppression applied when *skip_allowed*."""
-    from repro.analysis.concurrency import analyze_sources
-
-    conc_report = analyze_sources(conc_sources)
-    out: List[Violation] = []
-    allowed_cache: Dict[str, Dict[int, Set[str]]] = {}
-    for v in conc_report.violations:
-        if skip_allowed and v.path in conc_sources:
-            allowed = allowed_cache.get(v.path)
-            if allowed is None:
-                allowed = _allowed_lines(conc_sources[v.path])
-                allowed_cache[v.path] = allowed
-            if v.code in allowed.get(v.line, ()):
-                continue
-        out.append(v)
-    return out
-
-
-def _run_concurrency_cli(as_json: bool, baseline_path: Optional[str],
-                         use_baseline: bool) -> int:
-    """``python -m repro.analysis --concurrency [--json]``: print the
-    discovered lock order / invariants / violations, exit 1 on any
-    unsuppressed, non-baselined violation or order cycle."""
-    from repro.analysis.concurrency import report as conc_report
-    from repro.analysis.concurrency.callgraph import collect_package_sources
-
-    rep = conc_report.cached_report()
-    conc_sources = collect_package_sources(conc_report.PACKAGE_ROOT)
-    filtered = concurrency_violations(conc_sources, skip_allowed=True)
-    root = find_repo_root(os.getcwd()) or find_repo_root(
-        conc_report.PACKAGE_ROOT)
-    if baseline_path is None and root:
-        candidate = os.path.join(root, baseline_mod.BASELINE_FILENAME)
-        if os.path.isfile(candidate):
-            baseline_path = candidate
-    if use_baseline and baseline_path and os.path.isfile(baseline_path):
-        with open(baseline_path, "r", encoding="utf-8") as fh:
-            entries = baseline_mod.parse_baseline(fh.read())
-        filtered, _, _ = baseline_mod.apply_baseline(filtered, entries)
-    return conc_report.run_cli(as_json, violations=filtered)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "wowlint: engine-invariant linter (WOW001-WOW010) + "
-            "plan-verifier and concurrency-analysis tooling"
+            "wowlint: engine-invariant linter (WOW001-WOW005)"
         ),
     )
     parser.add_argument(
@@ -314,17 +249,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--strict",
         action="store_true",
         help="also fail (exit 1) on stale baseline entries",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run the interprocedural concurrency analyzer over src/repro "
-        "and print the lock order, checked invariants, and violations",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="with --concurrency: emit the report as JSON",
     )
     parser.add_argument(
         "--baseline", help=f"baseline file (default: {baseline_mod.BASELINE_FILENAME} at repo root)"
@@ -351,11 +275,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for code, title in sorted(RULE_CATALOG.items()):
             print(f"{code}  {title}")
         return 0
-
-    if args.concurrency:
-        return _run_concurrency_cli(
-            args.json, args.baseline, use_baseline=not args.no_baseline
-        )
 
     if args.self_check:
         from repro.analysis.selfcheck import run_self_check

@@ -3,8 +3,7 @@
 Each rule has a stable code, a one-line description, a path scope (rules
 only fire where the invariant they protect applies), and a fix-it message
 telling the author what the compliant code looks like.  The rules in
-:data:`RULES` are per-file AST visitors; WOW009/WOW010 are project rules
-over the whole engine call graph (:mod:`repro.analysis.concurrency`).
+:data:`RULES` are per-file AST visitors.
 
 Adding a rule: subclass :class:`Rule`, give it ``code``/``title``/``fixit``,
 implement ``applies`` (path scope) and ``check`` (AST walk returning
@@ -429,154 +428,6 @@ class UnpairedSpan(Rule):
         return out
 
 
-# ---------------------------------------------------------------------------
-# WOW007 — module-level mutable state written without the owning lock
-# ---------------------------------------------------------------------------
-
-#: substrings that mark a `with` context expression as a lock acquisition
-#: (threading.Lock/RLock/Condition conventions: self._lock, _latch, _mutex,
-#: self._cond, LOCK_REGISTRY[...], ...)
-_LOCK_HINTS = ("lock", "latch", "mutex", "cond")
-
-#: method calls that mutate a dict/list/set in place
-_MUTATOR_METHODS = {
-    "append", "extend", "insert", "add", "update", "setdefault",
-    "pop", "popitem", "remove", "discard", "clear",
-}
-
-#: constructor calls whose result is a shared mutable container
-_MUTABLE_CONSTRUCTORS = {
-    "dict", "list", "set",
-    "collections.OrderedDict", "OrderedDict",
-    "collections.defaultdict", "defaultdict",
-    "collections.deque", "deque",
-    "collections.Counter", "Counter",
-}
-
-
-class SharedMutableState(Rule):
-    """Sessions made the engine multi-threaded: a module-level dict/list
-    mutated from a function without a lexically enclosing ``with <lock>:``
-    is a data race waiting for a second thread.  Import-time initialisation
-    (module scope) is fine; so are writes inside any ``with`` whose context
-    expression names a lock (``self._latch``, ``self._cond``, ...)."""
-
-    code = "WOW007"
-    title = "module-level mutable state written without the owning lock"
-    fixit = (
-        "wrap the write in `with <owning lock>:` (Lock/RLock/Condition named "
-        "*lock*/*latch*/*mutex*/*cond*), or move the state onto an instance "
-        "that owns such a lock"
-    )
-
-    def applies(self, path: str) -> bool:
-        return "session/" in path or "relational/" in path
-
-    def check(self, tree: ast.AST, path: str) -> List[Violation]:
-        shared = self._module_mutables(tree)
-        if not shared:
-            return []
-        protected: Set[int] = set()
-        self._mark_protected(tree, False, protected)
-        out: List[Violation] = []
-        for node in ast.walk(tree):
-            if scope_of(node) == "<module>":
-                continue  # import-time initialisation is single-threaded
-            if id(node) in protected:
-                continue
-            target = self._mutation_target(node)
-            if target is None or target not in shared:
-                continue
-            out.append(
-                self.violation(
-                    node, path,
-                    f"module-level `{target}` is mutated outside any "
-                    "lock-guarded `with` block — racy once a second "
-                    "session thread runs this path",
-                )
-            )
-        return out
-
-    @classmethod
-    def _module_mutables(cls, tree: ast.AST) -> Set[str]:
-        """Names bound at module scope to a mutable container, plus
-        ALL_CAPS names imported from other modules (shared metrics dicts
-        like EXEC_METRICS travel by `from ... import`)."""
-        shared: Set[str] = set()
-        for node in ast.iter_child_nodes(tree):
-            if isinstance(node, ast.Assign) and cls._is_mutable_value(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        shared.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if cls._is_mutable_value(node.value) and isinstance(node.target, ast.Name):
-                    shared.add(node.target.id)
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if bound.isupper() and any(ch.isalpha() for ch in bound):
-                        shared.add(bound)
-        return shared
-
-    @staticmethod
-    def _is_mutable_value(value: ast.AST) -> bool:
-        if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                              ast.DictComp, ast.ListComp, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            return dotted_name(value.func) in _MUTABLE_CONSTRUCTORS
-        return False
-
-    @classmethod
-    def _mark_protected(
-        cls, node: ast.AST, protected: bool, out: Set[int]
-    ) -> None:
-        """Collect ids of nodes lexically inside a lock-acquiring `with`."""
-        for child in ast.iter_child_nodes(node):
-            child_protected = protected
-            if isinstance(child, (ast.With, ast.AsyncWith)) and any(
-                cls._is_lockish(item.context_expr) for item in child.items
-            ):
-                child_protected = True
-            if child_protected:
-                out.add(id(child))
-            cls._mark_protected(child, child_protected, out)
-
-    @staticmethod
-    def _is_lockish(expr: ast.AST) -> bool:
-        name = dotted_name(expr)
-        if name is None and isinstance(expr, ast.Call):
-            name = dotted_name(expr.func)
-        if name is None and isinstance(expr, ast.Subscript):
-            name = dotted_name(expr.value)
-        return name is not None and any(
-            hint in name.lower() for hint in _LOCK_HINTS
-        )
-
-    @staticmethod
-    def _mutation_target(node: ast.AST) -> Optional[str]:
-        """The dotted base name a statement mutates, or None."""
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
-        ):
-            return dotted_name(node.func.value)
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                name = dotted_name(target.value)
-                if name is not None:
-                    return name
-        return None
-
-
 #: the per-file rules, in code order
 RULES: Sequence[Rule] = (
     RawEngineIO(),
@@ -584,16 +435,7 @@ RULES: Sequence[Rule] = (
     TruthyThreeValued(),
     NondeterministicEnginePath(),
     UnpairedSpan(),
-    SharedMutableState(),
 )
 
 #: code -> one-line description, for --list-rules and the docs
 RULE_CATALOG: Dict[str, str] = {rule.code: rule.title for rule in RULES}
-# project-level interprocedural rules (repro.analysis.concurrency)
-RULE_CATALOG["WOW009"] = (
-    "latch held across a blocking lock wait, lock-order cycle, or "
-    "catalog-after-table acquisition"
-)
-RULE_CATALOG["WOW010"] = (
-    "shared state mutated both with and without its owning lock"
-)

@@ -73,12 +73,6 @@ class Catalog:
         self.bump_generation()
         return table
 
-    def add_existing_table(self, table: Table) -> None:
-        """Register a table object built elsewhere (recovery path)."""
-        self._check_free(table.name)
-        self._tables[table.name] = table
-        self.bump_generation()
-
     def drop_table(self, name: str) -> Table:
         """Unregister a table; fails if any view depends on it."""
         name = name.lower()

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+from repro.analysis.concurrency import dynlock
 from repro.errors import (
     BindError,
     CatalogError,
@@ -249,9 +250,7 @@ class Database:
         #: blocked sessions cannot wedge running ones.  Re-entrant because
         #: statements nest (DDL checkpoints, telemetry rebuilds).
         #: Under WOW_LOCK_CHECK=1 the latch is wrapped by the dynamic lock
-        #: checker (deferred import: repro.analysis needs this package).
-        from repro.analysis.concurrency import dynlock
-
+        #: checker.
         self._latch = dynlock.maybe_wrap_latch(threading.RLock())
         self._row_budget: Optional[_RowBudget] = None
         #: attached repro.session.SessionManager, None in embedded use

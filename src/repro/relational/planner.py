@@ -499,9 +499,7 @@ class Planner:
         best_used: Set[E.Expr] = set()
         best_cost = seq_cost
         for metric, op, used in candidates:
-            matching = rows
-            for conjunct in used:
-                matching *= stats.selectivity(conjunct)
+            matching = stats.estimate_rows_raw(list(used))
             cost = RANDOM_PAGE_COST + matching * (
                 CPU_TUPLE_COST + RANDOM_PAGE_COST * 0.1
             )

@@ -146,16 +146,22 @@ def decode_row(schema: TableSchema, data: bytes) -> Tuple[Any, ...]:
 # ---------------------------------------------------------------------------
 # The batch executor decodes whole pages at a time: one shared buffer plus
 # (start, end) spans per record, instead of one bytes copy + decode_row
-# call per record.  The decoder below is the same wire format with the
-# varint read inlined (INT, TEXT, and DATE all start with one) and the
-# per-schema column types cached, because at batch rates the attribute
-# and call overhead of the scalar path dominates.
-
-_INT = ColumnType.INT
-_FLOAT = ColumnType.FLOAT
-_TEXT = ColumnType.TEXT
-_BOOL = ColumnType.BOOL
-_DATE = ColumnType.DATE
+# call per record.  The schema is fixed for the lifetime of a table, so the
+# decoder is specialised: one generated function per schema with the
+# column dispatch unrolled, the varint reads inlined (INT, TEXT, and DATE
+# all start with one), and the null-bitmap bytes loaded once.  Same wire
+# format, same error messages — just no per-column interpretation.  The
+# generated source for a (INT, TEXT) schema looks like::
+#
+#     def _decode(buf, start, end):
+#         pos = start + 1
+#         bm0 = buf[start]
+#         if bm0 & 1:
+#             v0 = None
+#         else:
+#             <inlined varint>; v0 = (value >> 1) ^ -(value & 1)
+#         ...
+#         return (v0, v1)
 
 _unpack_double_from = struct.Struct(">d").unpack_from
 _date_fromordinal = datetime.date.fromordinal
@@ -168,93 +174,6 @@ def _codec_ctypes(schema: TableSchema) -> Tuple[ColumnType, ...]:
         schema._codec_ctypes = ctypes
     return ctypes
 
-
-def decode_row_span(
-    schema: TableSchema, buf: bytes, start: int, end: int
-) -> Tuple[Any, ...]:
-    """Decode one row out of ``buf[start:end]`` without slicing a copy."""
-    ctypes = _codec_ctypes(schema)
-    bitmap_len = (len(ctypes) + 7) // 8
-    if end - start < bitmap_len:
-        raise StorageError("row record shorter than its null bitmap")
-    pos = start + bitmap_len
-    values: List[Any] = []
-    append = values.append
-    for i, ctype in enumerate(ctypes):
-        if buf[start + (i >> 3)] & (1 << (i & 7)):
-            append(None)
-            continue
-        if ctype is _FLOAT:
-            if pos + 8 > end:
-                raise StorageError("truncated FLOAT value")
-            append(_unpack_double_from(buf, pos)[0])
-            pos += 8
-            continue
-        if ctype is _BOOL:
-            if pos >= end:
-                raise StorageError("truncated BOOL value")
-            append(bool(buf[pos]))
-            pos += 1
-            continue
-        # INT, TEXT, and DATE all lead with a varint.
-        value = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise StorageError("truncated varint")
-            byte = buf[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 70:
-                raise StorageError("varint too long")
-        if ctype is _INT:
-            append((value >> 1) ^ -(value & 1))
-        elif ctype is _TEXT:
-            if pos + value > end:
-                raise StorageError("truncated TEXT value")
-            append(buf[pos : pos + value].decode("utf-8"))
-            pos += value
-        elif ctype is _DATE:
-            append(_date_fromordinal(value))
-        else:  # pragma: no cover - exhaustive over ColumnType
-            raise StorageError(f"cannot decode type {ctype}")
-    if pos != end:
-        raise StorageError(
-            f"trailing bytes after row record ({end - pos} extra)"
-        )
-    return tuple(values)
-
-
-def decode_rows_spans(
-    schema: TableSchema, buf: bytes, spans: Sequence[Tuple[int, int]]
-) -> List[Tuple[Any, ...]]:
-    """Decode many rows sharing one buffer — the batch-scan entry point."""
-    decoder = span_decoder(schema)
-    return [decoder(buf, start, end) for start, end in spans]
-
-
-# ---------------------------------------------------------------------------
-# Compiled decoders
-# ---------------------------------------------------------------------------
-# The schema is fixed for the lifetime of a table, so the decode loop above
-# can be specialised: generate one function per schema with the column
-# dispatch unrolled, the varint reads inlined, and the null-bitmap bytes
-# loaded once.  Same wire format, same error messages — just no per-column
-# interpretation.  The generated source for a (INT, TEXT) schema looks
-# like::
-#
-#     def _decode(buf, start, end):
-#         pos = start + 1
-#         bm0 = buf[start]
-#         if bm0 & 1:
-#             v0 = None
-#         else:
-#             <inlined varint>; v0 = (value >> 1) ^ -(value & 1)
-#         ...
-#         return (v0, v1)
 
 _VARINT_TEMPLATE = """\
         value = 0

@@ -24,7 +24,7 @@ evicts whole segments until the store is back under ``max_rows``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: heap pages per segment (a prefetch-window multiple: one segment build
 #: triggers at most two batched reads on the default pager config)
@@ -102,9 +102,6 @@ class SegmentStore:
 
     # -- introspection -------------------------------------------------------
 
-    def cached_segments(self) -> int:
-        return len(self._segments)
-
     def cached_rows(self) -> int:
         return self._cached_rows
 
@@ -115,7 +112,3 @@ class SegmentStore:
         out["seg_cached_rows"] = self._cached_rows
         return out
 
-
-def rows_from_columns(columns: Columns) -> Iterator[Row]:
-    """Re-materialise row tuples from a cached column view."""
-    return zip(*columns)  # type: ignore[return-value]

@@ -35,6 +35,8 @@ from repro.relational.types import sort_key
 
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_EQ_SELECTIVITY = 0.1
+#: range operator -> which side of a one-column range it bounds
+_RANGE_SIDE = {">": 0, ">=": 0, "<": 1, "<=": 1}
 
 #: equi-depth histogram resolution (bucket count)
 HISTOGRAM_BUCKETS = 16
@@ -321,10 +323,32 @@ class TableStats:
         return clamp_rows(self.estimate_rows_raw(conjuncts))
 
     def estimate_rows_raw(self, conjuncts) -> float:
-        """The un-normalized selectivity product (internal cost math only)."""
+        """The un-normalized estimate (internal cost math only).
+
+        Every range bound on one column forms one range, as the planner's
+        index range does: ``id >= a AND id < b`` is the fraction between
+        *a* and *b*, not the product of two independent halves.  The
+        tightest bound on each side wins.
+        """
         rows = float(self.row_count)
+        # column -> [tightest lower-bound selectivity, tightest upper]
+        ranges: Dict[str, List[float]] = {}
         for conjunct in conjuncts:
-            rows *= self.selectivity(conjunct)
+            hit = E.const_comparison(conjunct)
+            if hit is None or hit[1] not in _RANGE_SIDE or hit[2] is None:
+                rows *= self.selectivity(conjunct)
+                continue
+            side = ranges.setdefault(hit[0].name, [1.0, 1.0])
+            index = _RANGE_SIDE[hit[1]]
+            side[index] = min(side[index], self.selectivity(conjunct))
+        for name, (lower, upper) in ranges.items():
+            column = self.columns.get(name)
+            if column is not None and column.histogram is not None:
+                # both fractions come from one distribution: the range
+                # between the bounds is their overlap
+                rows *= max(0.0, lower + upper - 1.0)
+            else:
+                rows *= lower * upper  # textbook defaults: independent
         return rows
 
 

@@ -12,7 +12,7 @@ because it needs to see the parent table.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, ConstraintError
 from repro.relational.heap import HeapFile, RowId
@@ -108,10 +108,6 @@ class Table:
             index.insert(self._key_for(index, clean), rid)
         return rid
 
-    def insert_mapping(self, values: Mapping[str, Any]) -> RowId:
-        """Insert from a column-name mapping (defaults applied)."""
-        return self.insert(self.schema.row_from_mapping(values))
-
     def read(self, rid: RowId) -> Row:
         """Decode the row at *rid*."""
         return decode_row(self.schema, self.heap.read(rid))
@@ -142,13 +138,6 @@ class Table:
                 index.delete(old_key, rid)
                 index.insert(new_key, new_rid)
         return new_rid, old_row
-
-    def update_mapping(self, rid: RowId, changes: Mapping[str, Any]) -> Tuple[RowId, Row]:
-        """Update selected columns of the row at *rid*."""
-        current = list(self.read(rid))
-        for name, value in changes.items():
-            current[self.schema.column_index(name)] = value
-        return self.update(rid, current)
 
     # -- reads ------------------------------------------------------------
 
@@ -291,10 +280,6 @@ class Table:
             if row == image:
                 return rid
         return None
-
-    def find_where(self, predicate: Callable[[Row], bool]) -> List[Tuple[RowId, Row]]:
-        """Full-scan lookup by arbitrary Python predicate (test helper)."""
-        return [(rid, row) for rid, row in self.scan() if predicate(row)]
 
     # -- internals ---------------------------------------------------------
 

@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.concurrency import dynlock
 from repro.errors import (
     BusyError,
     LockTimeoutError,
@@ -165,10 +166,6 @@ class SessionManager:
     ) -> None:
         self.db = db
         self.config = config or SessionConfig()
-        # Deferred import: repro.analysis pulls in planverify (which needs
-        # the relational package); by __init__ time every module is loaded.
-        from repro.analysis.concurrency import dynlock
-
         self.locks = dynlock.maybe_checked_lock_manager(LockManager())
         #: guards _sessions / _next_id / the lockset cache
         self._mutex = threading.Lock()

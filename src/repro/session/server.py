@@ -17,6 +17,8 @@ Responses: ``{"ok": true, ...}`` or
 ``{"ok": false, "error": str, "error_type": str, "retryable": bool}`` —
 the ``retryable`` flag mirrors :class:`~repro.errors.RetryableError`, so
 a remote client can apply the same retry policy as an embedded one.
+A frame whose body is valid JSON but not an object gets a
+``SessionError`` response, and the server then closes the connection.
 
 One thread and one :class:`~repro.session.manager.Session` per
 connection; admission control happens at the hello frame (a refused
@@ -30,7 +32,7 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import WowError
 from repro.session.manager import Session, SessionConfig, SessionManager
@@ -47,8 +49,9 @@ def send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
     sock.sendall(FRAME_HEADER.pack(len(body)) + body)
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one frame; None on clean EOF.  Raises on torn/oversized data."""
+def recv_frame(sock: socket.socket) -> Optional[Any]:
+    """Read one frame's JSON value; None on clean EOF.  Raises on
+    torn/oversized data.  The value is not checked to be an object."""
     header = _recv_exact(sock, FRAME_HEADER.size, allow_eof=True)
     if header is None:
         return None
@@ -87,6 +90,24 @@ def error_frame(exc: BaseException) -> Dict[str, Any]:
     }
 
 
+def _session_error(message: str) -> Dict[str, Any]:
+    return {
+        "ok": False,
+        "error": message,
+        "error_type": "SessionError",
+        "retryable": False,
+    }
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake every thread blocked on *sock* (``accept``/``recv``): on Linux
+    ``close()`` alone wakes neither."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down by the peer
+
+
 class DatabaseServer:
     """Thread-per-connection server over one SessionManager."""
 
@@ -106,6 +127,11 @@ class DatabaseServer:
         #: the bound (host, port) — port 0 requests an ephemeral one
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._accept_thread: Optional[threading.Thread] = None
+        #: guards _running, _conns and _workers, so stop() sees every
+        #: connection the accept loop admitted
+        self._lock = threading.Lock()
+        #: live connection sockets; stop() shuts each down to wake its worker
+        self._conns: Set[socket.socket] = set()
         self._workers: List[threading.Thread] = []
         self._running = False
 
@@ -118,17 +144,24 @@ class DatabaseServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close live sessions, join worker threads."""
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for worker in self._workers:
-            worker.join(timeout=5)
+        """Stop accepting, wake and close every connection, close live
+        sessions, join the threads.  A thread that outlives its join is a
+        bug, and raises."""
+        with self._lock:
+            self._running = False
+            conns = list(self._conns)
+            threads = list(self._workers)
+        _shutdown(self._listener)
+        self._listener.close()
+        for conn in conns:
+            _shutdown(conn)
         self.manager.close()
+        if self._accept_thread is not None:
+            threads.insert(0, self._accept_thread)
+        for thread in threads:
+            thread.join(timeout=5)
+            if thread.is_alive():
+                raise RuntimeError(f"server thread {thread.name} did not stop")
 
     def __enter__(self) -> "DatabaseServer":
         return self.start()
@@ -139,66 +172,77 @@ class DatabaseServer:
     # -- connection handling -----------------------------------------------
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                break  # listener closed by stop()
+                break  # listener shut down by stop()
             worker = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
                 name="wow-server-conn",
                 daemon=True,
             )
+            with self._lock:
+                if not self._running:
+                    conn.close()
+                    break
+                self._conns.add(conn)
+                # finished workers need no join
+                self._workers = [w for w in self._workers if w.is_alive()]
+                self._workers.append(worker)
             worker.start()
-            self._workers.append(worker)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
+        try:
+            self._converse(conn)
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
+
+    def _converse(self, conn: socket.socket) -> None:
+        try:
+            hello = recv_frame(conn)
+        except (ConnectionError, ValueError, json.JSONDecodeError):
+            return
+        if not isinstance(hello, dict) or hello.get("op") != "hello":
             try:
-                hello = recv_frame(conn)
-            except (ConnectionError, ValueError, json.JSONDecodeError):
-                return
-            if hello is None or hello.get("op") != "hello":
+                send_frame(conn, _session_error("first frame must be a hello"))
+            except OSError:
+                pass
+            return
+        try:
+            session = self.manager.connect(user=str(hello.get("user", "dba")))
+        except WowError as exc:  # BusyError: retryable refusal
+            try:
+                send_frame(conn, error_frame(exc))
+            except OSError:
+                pass
+            return
+        try:
+            send_frame(conn, {"ok": True, "session": session.id})
+            while True:
                 try:
-                    send_frame(
-                        conn,
-                        {
-                            "ok": False,
-                            "error": "first frame must be a hello",
-                            "error_type": "SessionError",
-                            "retryable": False,
-                        },
-                    )
-                except OSError:
-                    pass
-                return
-            try:
-                session = self.manager.connect(
-                    user=str(hello.get("user", "dba"))
-                )
-            except WowError as exc:  # BusyError: retryable refusal
-                try:
-                    send_frame(conn, error_frame(exc))
-                except OSError:
-                    pass
-                return
-            try:
-                send_frame(conn, {"ok": True, "session": session.id})
-                while True:
-                    try:
-                        request = recv_frame(conn)
-                    except (ConnectionError, ValueError,
-                            json.JSONDecodeError):
-                        break
-                    if request is None or request.get("op") == "close":
-                        break
-                    try:
-                        send_frame(conn, self._handle(session, request))
-                    except OSError:
-                        break
-            finally:
-                session.close()
+                    request = recv_frame(conn)
+                except (ConnectionError, ValueError, json.JSONDecodeError):
+                    break
+                if request is None:
+                    break
+                if not isinstance(request, dict):
+                    # a typed answer, then a clean close: the peer no
+                    # longer speaks the protocol
+                    send_frame(conn, _session_error(
+                        "frame must be a JSON object, got "
+                        f"{type(request).__name__}"))
+                    break
+                if request.get("op") == "close":
+                    break
+                send_frame(conn, self._handle(session, request))
+        except OSError:
+            pass  # the peer went away, or stop() shut the socket down
+        finally:
+            session.close()
 
     def _handle(
         self, session: Session, request: Dict[str, Any]
@@ -221,12 +265,7 @@ class DatabaseServer:
                 }
             if op == "ping":
                 return {"ok": True, "session": session.id}
-            return {
-                "ok": False,
-                "error": f"unknown op {op!r}",
-                "error_type": "SessionError",
-                "retryable": False,
-            }
+            return _session_error(f"unknown op {op!r}")
         except WowError as exc:
             # Engine/session errors are protocol answers; anything else
             # (a bug, an injected crash) tears the connection down.

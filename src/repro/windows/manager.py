@@ -24,7 +24,6 @@ class WindowManager:
     def __init__(self, width: int = 80, height: int = 24, differential: bool = True) -> None:
         self.renderer = Renderer(width, height, differential)
         self.windows: List[Window] = []  # back-to-front z-order
-        self._keys_dispatched = 0
 
     # -- stack operations ---------------------------------------------------
 
@@ -88,7 +87,6 @@ class WindowManager:
 
         Returns True if anything consumed the event.
         """
-        self._keys_dispatched += 1
         if event.key == Key.F1:
             self.cycle()
             return True
@@ -96,10 +94,6 @@ class WindowManager:
         if window is None:
             return False
         return window.handle_key(event)
-
-    @property
-    def keys_dispatched(self) -> int:
-        return self._keys_dispatched
 
     # -- rendering -----------------------------------------------------------
 

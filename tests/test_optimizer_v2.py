@@ -5,6 +5,7 @@ persistence, and the statlog-driven adaptive re-planning loop."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -254,6 +255,20 @@ class TestCostModel:
         assert stats.pages >= 2
         text = db.execute("EXPLAIN SELECT * FROM t WHERE id = 123").plan
         assert "IndexEqScan" in text
+
+    def test_two_bounds_on_one_column_are_one_range(self, db):
+        """``id >= a AND id < b`` is the slice between a and b, not the
+        product of two independent halves (which estimated ~2,700 rows
+        for 500 and lost the index to a SeqScan)."""
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        values = ", ".join(f"({i}, {i % 7})" for i in range(10_000))
+        db.execute(f"INSERT INTO t VALUES {values}")
+        db.execute("ANALYZE t")
+        text = db.execute(
+            "EXPLAIN SELECT * FROM t WHERE id >= 4000 AND id < 4500").plan
+        assert "IndexRangeScan" in text, text
+        estimate = int(re.search(r"\[~(\d+) rows", text).group(1))
+        assert 250 <= estimate <= 1000, text
 
 
 # -- DP join enumeration -----------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import shutil
 import socket
 import threading
+import time
 
 import pytest
 
@@ -66,8 +67,6 @@ def join_dead(thread):
 
 def wait_until(predicate, timeout=JOIN_TIMEOUT):
     deadline = threading.Event()
-    import time
-
     end = time.monotonic() + timeout
     while time.monotonic() < end:
         if predicate():
@@ -786,4 +785,53 @@ class TestServer:
             join_dead(thread)
             assert "error" not in box
             box["value"].close()
+        db.close()
+
+
+def _server_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("wow-server-")]
+
+
+class TestServerShutdown:
+    @pytest.mark.parametrize("idle_clients", [0, 3])
+    def test_stop_wakes_accept_and_idle_workers(self, idle_clients):
+        db = Database()
+        server = DatabaseServer(db, port=0).start()
+        host, port = server.address
+        clients = [RemoteSession(host, port) for _ in range(idle_clients)]
+        wait_until(lambda: server.manager.stats["connects"] == idle_clients)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.5
+        assert _server_threads() == []
+        for client in clients:
+            # the server hung up: the next request fails, it is not served
+            with pytest.raises((SessionError, OSError)):
+                client.ping()
+        db.close()
+
+    def test_non_object_frame_gets_typed_error_and_releases_locks(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 0)")
+        config = SessionConfig(lock_timeout=2.0)
+        with DatabaseServer(db, port=0, config=config) as server:
+            host, port = server.address
+            with socket.create_connection((host, port)) as sock:
+                send_frame(sock, {"op": "hello", "user": "dba"})
+                assert recv_frame(sock)["ok"]
+                for sql in ("BEGIN", "UPDATE t SET v = 1 WHERE id = 1"):
+                    send_frame(sock, {"op": "execute", "sql": sql})
+                    assert recv_frame(sock)["ok"]
+                send_frame(sock, [1, 2])
+                reply = recv_frame(sock)
+                assert reply["ok"] is False
+                assert reply["error_type"] == "SessionError"
+                assert not reply["retryable"]
+                assert recv_frame(sock) is None  # then a clean close
+            # the closed session's X lock and open transaction are gone
+            with RemoteSession(host, port) as remote:
+                remote.execute("UPDATE t SET v = 2 WHERE id = 1")
+                assert remote.query("SELECT v FROM t") == [(2,)]
         db.close()
